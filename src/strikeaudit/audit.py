@@ -6,13 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import logreg, stats, subset, tree as tree_mod
 from .dataset import (
+    RACE_FEATURE_NAMES,
     FeatureMatrix,
     JurorTable,
     build_matrix,
@@ -84,8 +85,6 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
     testable leaves jointly with Holm. Leaves with a degenerate margin are
     skipped and excluded from the Holm family.
     """
-    from .dataset import RACE_FEATURE_NAMES
-
     if any(c in RACE_FEATURE_NAMES for c in tree.columns):
         raise StrikeAuditError("disparity testing requires a race-free tree")
     x, is_black, struck = _table_matrix(table, tree.columns)
@@ -183,7 +182,6 @@ class AuditConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
     max_depth: int = 4
     min_leaf: int = 10
-    restarts: int = 100
     alpha_grid: tuple[float, ...] = (0.001, 0.01, 0.1)
     alpha_level: float = 0.05
     threads: int = 1
@@ -199,33 +197,23 @@ class AuditConfig:
         return TreeSettings(
             max_depth=self.max_depth,
             min_leaf=self.min_leaf,
-            restarts=self.restarts,
-            seed=self.seed,
         )
 
     def to_json(self) -> dict:
-        return {
-            "input_path": str(self.input_path),
-            "catalog": list(self.catalog),
-            "seed": self.seed,
-            "train_fraction": self.train_fraction,
-            "k_max": self.k_max,
-            "folds": self.folds,
-            "missing_policy": self.missing_policy,
-            "ridge": self.ridge,
-            "fit_tolerance": self.fit_tolerance,
-            "max_iterations": self.max_iterations,
-            "node_budget": self.node_budget,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "restarts": self.restarts,
-            "alpha_grid": list(self.alpha_grid),
-            "alpha_level": self.alpha_level,
-            "threads": self.threads,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["input_path"] = str(self.input_path)
+        out["catalog"] = list(self.catalog)
+        out["alpha_grid"] = list(self.alpha_grid)
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "AuditConfig":
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(obj) - known)
+        if unknown:
+            raise StrikeAuditError(
+                f"unknown audit config key(s): {', '.join(map(repr, unknown))}"
+            )
         kwargs = dict(obj)
         kwargs["catalog"] = tuple(kwargs["catalog"])
         if "alpha_grid" in kwargs:
@@ -314,7 +302,6 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
     with _stage("tree"):
         alpha, fitted = tree_mod.tune_alpha(
             train_nr, cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),
-            threads=cfg.threads,
         )
     with _stage("disparity"):
         findings = leaf_disparity(fitted, eligible, cfg.alpha_level)

@@ -65,15 +65,14 @@ def _add_ofs_flags(sub):
     sub.add_argument("--budget", type=int, default=subset.DEFAULT_NODE_BUDGET,
                      help="branch-and-bound node budget")
     sub.add_argument("--threads", type=int, default=1,
-                     help="parallel workers for folds/restarts (default 1)")
+                     help="parallel workers for folds (default 1)")
 
 
 def _add_tree_flags(sub):
     sub.add_argument("--max-depth", type=int, default=4, help="tree depth cap (default 4)")
     sub.add_argument("--min-leaf", type=int, default=10, help="minimum rows per leaf (default 10)")
-    sub.add_argument("--restarts", type=int, default=100,
-                     help="local-search restarts (default 100)")
-    sub.add_argument("--alpha-grid", default="0.001,0.01,0.1",
+    sub.add_argument("--alpha-grid", type=lambda s: tuple(float(a) for a in s.split(",")),
+                     default=(0.001, 0.01, 0.1),
                      help="comma-separated complexity penalties to tune over")
 
 
@@ -126,13 +125,9 @@ def _cmd_stepwise(args) -> int:
 
 def _cmd_tree(args) -> int:
     _, m = _prepared_matrix(args)
-    settings = TreeSettings(
-        max_depth=args.max_depth, min_leaf=args.min_leaf,
-        restarts=args.restarts, seed=args.seed,
-    )
-    grid = tuple(float(a) for a in args.alpha_grid.split(","))
+    settings = TreeSettings(max_depth=args.max_depth, min_leaf=args.min_leaf)
     alpha, fitted = tree_mod.tune_alpha(
-        m.without_race(), grid, args.folds, args.seed, settings, threads=args.threads,
+        m.without_race(), args.alpha_grid, args.folds, args.seed, settings,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,37 +176,26 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+# Flags of the audit subcommand that set an AuditConfig field (--budget sets
+# node_budget; the others share the field's name).
+_AUDIT_FLAGS = (
+    "seed", "missing_policy", "train_fraction", "k_max", "folds", "ridge", "budget",
+    "threads", "max_depth", "min_leaf", "alpha_grid", "alpha_level",
+)
+
+
 def _cmd_audit(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    cfg = audit_mod.AuditConfig(
-        input_path=args.input,
-        catalog=_load_catalog(args.catalog),
-        seed=args.seed,
-        missing_policy=args.missing_policy,
-        train_fraction=args.train_fraction,
-        k_max=args.k_max,
-        folds=args.folds,
-        ridge=args.ridge,
-        node_budget=args.budget,
-        max_depth=args.max_depth,
-        min_leaf=args.min_leaf,
-        restarts=args.restarts,
-        alpha_grid=tuple(float(a) for a in args.alpha_grid.split(",")),
-        alpha_level=args.alpha_level,
-        threads=args.threads,
-    )
-    # Config file fills only keys the flags left at their defaults.
-    if overrides:
-        defaults = audit_mod.AuditConfig(input_path="", catalog=())
-        for key, value in overrides.items():
-            if not hasattr(cfg, key):
-                raise StrikeAuditError(f"unknown config key {key!r}")
-            if getattr(cfg, key) == getattr(defaults, key, None):
-                if key in ("catalog", "alpha_grid"):
-                    value = tuple(value)
-                setattr(cfg, key, value)
+    # args holds only the config flags given on the command line: they
+    # override the config file, which overrides AuditConfig's defaults.
+    settings = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(settings, dict):
+        raise StrikeAuditError(f"config file {args.config} must hold a JSON object")
+    for dest in _AUDIT_FLAGS:
+        if hasattr(args, dest):
+            settings["node_budget" if dest == "budget" else dest] = getattr(args, dest)
+    settings["input_path"] = args.input
+    settings["catalog"] = _load_catalog(args.catalog)
+    cfg = audit_mod.AuditConfig.from_json(settings)
     report = audit_mod.run_audit(cfg)
     audit_mod.write_outputs(report, args.out)
     flagged = [f.leaf for f in report.findings if f.significant]
@@ -305,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tree_flags(tree_cmd)
     tree_cmd.add_argument("--folds", type=int, default=5,
                           help="cross-validation folds for alpha tuning (default 5)")
-    tree_cmd.add_argument("--threads", type=int, default=1, help="parallel restart workers")
     tree_cmd.set_defaults(func=_cmd_tree)
 
     disparity = commands.add_parser("disparity", help="per-leaf disparity tests for a saved tree")
@@ -328,6 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     audit_cmd.add_argument("--alpha-level", type=float, default=0.05)
     audit_cmd.add_argument("--config", default=None,
                            help="JSON config; flags take precedence")
+    # Without defaults, args holds only the config flags given on the command
+    # line (set_defaults would put SUPPRESS into args as a value).
+    for action in audit_cmd._actions:
+        if action.dest in _AUDIT_FLAGS:
+            action.default = argparse.SUPPRESS
     audit_cmd.set_defaults(func=_cmd_audit)
 
     report = commands.add_parser("report", help="render a report.json to tables and CSVs")

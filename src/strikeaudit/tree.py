@@ -1,16 +1,18 @@
-"""Single interpretable binary tree fit by direct objective minimization.
+"""Single interpretable binary tree fit by exact objective minimization.
 
-Objective: (misclassified rows under per-leaf majority labels)/n plus a
-per-leaf complexity penalty. Search is coordinate-descent local search with
-random restarts; moves at a node are replace-split, collapse-to-leaf, and
-grow-leaf. Ties between equal-objective trees break toward fewer leaves and
-then the lexicographically smallest pre-order split sequence, so the result
-is deterministic given the seed.
+Objective: (misclassified rows under per-leaf majority labels)/n plus alpha
+per leaf, over trees no deeper than max_depth whose leaves hold at least
+min_leaf rows and that test no feature twice on a path. fit_tree finds the
+exact minimum by memoized dynamic programming over row sets held as
+Python-int bitsets (the DL8.5 scheme of Aglin, Nijssen & Schaus, AAAI 2020),
+comparing objectives in integers so that float rounding never decides a tie.
+Ties between equal-objective trees break toward fewer leaves and then the
+lexicographically smallest pre-order split sequence, so the result is a
+function of the data and the settings alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -18,16 +20,12 @@ import numpy as np
 from .dataset import FeatureMatrix, RACE_FEATURE_NAMES, stratified_folds
 from .errors import ContractViolationError, DegenerateDataError
 
-_IMPROVE_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class TreeSettings:
     max_depth: int = 4
     alpha: float = 0.01
     min_leaf: int = 10
-    restarts: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -36,10 +34,6 @@ class TreeSettings:
             raise ValueError("alpha must be >= 0")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,307 +67,32 @@ class Tree:
         return len(self.leaf_ids())
 
 
-# ---------------------------------------------------------------------------
-# mutable search representation
-
-class _SNode:
-    __slots__ = ("feature", "left", "right", "rows", "n_struck")
-
-    def __init__(self, rows: np.ndarray, n_struck: int):
-        self.feature: int | None = None
-        self.left: "_SNode | None" = None
-        self.right: "_SNode | None" = None
-        self.rows = rows
-        self.n_struck = n_struck
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def leaf_mis(self) -> int:
-        return min(self.n_struck, len(self.rows) - self.n_struck)
+def _bitset(mask: np.ndarray) -> int:
+    """Row mask as a Python int whose bit i is row i."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _subtree_stats(node: _SNode) -> tuple[int, int]:
-    """(misclassified count, leaf count) for the subtree."""
-    if node.is_leaf:
-        return node.leaf_mis(), 1
-    ml, ll = _subtree_stats(node.left)
-    mr, lr = _subtree_stats(node.right)
-    return ml + mr, ll + lr
+def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings()) -> Tree:
+    """Exact minimizer of the penalized misclassification objective.
 
+    Memoized depth-limited dynamic programming over row sets: the best
+    subtree on a row set with d levels left is a leaf or, for some feature,
+    a split whose two children are the best subtrees on their own row sets
+    with d - 1 levels left. A feature already tested on the path is constant
+    on the rows below it, so a repeat split leaves an empty child and fails
+    min_leaf; the memo key (rows, levels left) therefore needs no path.
 
-def _subtree_features(node: _SNode, out: set[int]) -> None:
-    if node.is_leaf:
-        return
-    out.add(node.feature)
-    _subtree_features(node.left, out)
-    _subtree_features(node.right, out)
-
-
-def _eval_routed(
-    node: _SNode,
-    rows: np.ndarray,
-    xb: list[np.ndarray],
-    y: np.ndarray,
-    min_leaf: int,
-    override_feature: int | None = None,
-) -> tuple[int, bool]:
-    """Misclassification of the subtree if ``rows`` were routed through it.
-
-    Does not mutate; returns (mis, feasible). Infeasible when any leaf would
-    fall under min_leaf.
-    """
-    if node.is_leaf:
-        if rows.size < min_leaf:
-            return 0, False
-        n_struck = int(y[rows].sum())
-        return min(n_struck, rows.size - n_struck), True
-    feature = node.feature if override_feature is None else override_feature
-    mask = xb[feature][rows]
-    mis_r, ok = _eval_routed(node.right, rows[mask], xb, y, min_leaf)
-    if not ok:
-        return 0, False
-    mis_l, ok = _eval_routed(node.left, rows[~mask], xb, y, min_leaf)
-    if not ok:
-        return 0, False
-    return mis_l + mis_r, True
-
-
-def _apply_routing(node: _SNode, rows: np.ndarray, xb: list[np.ndarray], y: np.ndarray) -> None:
-    node.rows = rows
-    node.n_struck = int(y[rows].sum())
-    if not node.is_leaf:
-        mask = xb[node.feature][rows]
-        _apply_routing(node.right, rows[mask], xb, y)
-        _apply_routing(node.left, rows[~mask], xb, y)
-
-
-def _random_tree(
-    xb: list[np.ndarray],
-    y: np.ndarray,
-    rows: np.ndarray,
-    depth: int,
-    banned: set[int],
-    rng: np.random.Generator,
-    settings: TreeSettings,
-) -> _SNode:
-    node = _SNode(rows, int(y[rows].sum()))
-    if depth >= settings.max_depth or rows.size < 2 * settings.min_leaf:
-        return node
-    if depth > 0 and rng.random() < 0.3:
-        return node
-    candidates = []
-    for f in range(len(xb)):
-        if f in banned:
-            continue
-        n_right = int(np.count_nonzero(xb[f][rows]))
-        if min(n_right, rows.size - n_right) >= settings.min_leaf:
-            candidates.append(f)
-    if not candidates:
-        return node
-    feature = candidates[rng.integers(len(candidates))]
-    mask = xb[feature][rows]
-    node.feature = feature
-    node.right = _random_tree(xb, y, rows[mask], depth + 1, banned | {feature}, rng, settings)
-    node.left = _random_tree(xb, y, rows[~mask], depth + 1, banned | {feature}, rng, settings)
-    return node
-
-
-def _canonical_tree(
-    xb: list[np.ndarray],
-    y: np.ndarray,
-    rows: np.ndarray,
-    depth: int,
-    banned: set[int],
-    settings: TreeSettings,
-) -> _SNode:
-    """Complete tree splitting on the smallest feasible feature index at
-    every node. Pruning this start inside local search yields the
-    lexicographically smallest member of any tied-optimum family, which is
-    what the tie-break rule promises to return."""
-    node = _SNode(rows, int(y[rows].sum()))
-    if depth >= settings.max_depth or rows.size < 2 * settings.min_leaf:
-        return node
-    for f in range(len(xb)):
-        if f in banned:
-            continue
-        mask = xb[f][rows]
-        n_right = int(np.count_nonzero(mask))
-        if min(n_right, rows.size - n_right) < settings.min_leaf:
-            continue
-        node.feature = f
-        node.right = _canonical_tree(xb, y, rows[mask], depth + 1, banned | {f}, settings)
-        node.left = _canonical_tree(xb, y, rows[~mask], depth + 1, banned | {f}, settings)
-        break
-    return node
-
-
-def _walk(node: _SNode, depth: int = 0, path: frozenset = frozenset()):
-    """Post-order (node, depth, features on the path above).
-
-    Children come first so a sweep repairs deep structure before judging a
-    parent's collapse move; a root-first order would collapse promising but
-    unpolished subtrees wholesale.
-    """
-    if not node.is_leaf:
-        extended = path | {node.feature}
-        yield from _walk(node.left, depth + 1, extended)
-        yield from _walk(node.right, depth + 1, extended)
-    yield node, depth, path
-
-
-def _best_move(
-    node: _SNode,
-    depth: int,
-    path: frozenset,
-    xb: list[np.ndarray],
-    y: np.ndarray,
-    n_total: int,
-    settings: TreeSettings,
-):
-    """Best strictly-improving move at this node, or None.
-
-    Moves: grow a leaf into a split; collapse an internal node to a leaf;
-    replace an internal node's split feature (children keep their shape,
-    rows are re-routed). Returns (delta, kind, feature).
-    """
-    p = len(xb)
-    best = None
-
-    def better(delta, kind, feature):
-        nonlocal best
-        if delta < -_IMPROVE_EPS and (best is None or delta < best[0]):
-            best = (delta, kind, feature)
-
-    rows = node.rows
-    if node.is_leaf:
-        if depth >= settings.max_depth or rows.size < 2 * settings.min_leaf:
-            return None
-        base = node.leaf_mis()
-        y_rows = y[rows]
-        for f in range(p):
-            if f in path:
-                continue
-            mask = xb[f][rows]
-            n_right = int(np.count_nonzero(mask))
-            n_left = rows.size - n_right
-            if min(n_left, n_right) < settings.min_leaf:
-                continue
-            struck_right = int(y_rows[mask].sum())
-            struck_left = node.n_struck - struck_right
-            mis = min(struck_left, n_left - struck_left) + min(
-                struck_right, n_right - struck_right
-            )
-            better((mis - base) / n_total + settings.alpha, "grow", f)
-        return best
-
-    mis_sub, leaves_sub = _subtree_stats(node)
-    better(
-        (node.leaf_mis() - mis_sub) / n_total - settings.alpha * (leaves_sub - 1),
-        "collapse",
-        -1,
-    )
-    below: set[int] = set()
-    _subtree_features(node.left, below)
-    _subtree_features(node.right, below)
-    for f in range(p):
-        if f == node.feature or f in path or f in below:
-            continue
-        mis_new, ok = _eval_routed(node, rows, xb, y, settings.min_leaf, override_feature=f)
-        if ok:
-            better((mis_new - mis_sub) / n_total, "replace", f)
-    return best
-
-
-def _apply_move(node: _SNode, move, xb: list[np.ndarray], y: np.ndarray) -> None:
-    _, kind, feature = move
-    if kind == "collapse":
-        node.feature = None
-        node.left = None
-        node.right = None
-    elif kind == "grow":
-        mask = xb[feature][node.rows]
-        node.feature = feature
-        right_rows = node.rows[mask]
-        left_rows = node.rows[~mask]
-        node.right = _SNode(right_rows, int(y[right_rows].sum()))
-        node.left = _SNode(left_rows, int(y[left_rows].sum()))
-    elif kind == "replace":
-        node.feature = feature
-        _apply_routing(node, node.rows, xb, y)
-    else:
-        raise AssertionError(kind)
-
-
-def _local_search(
-    root: _SNode,
-    xb: list[np.ndarray],
-    y: np.ndarray,
-    settings: TreeSettings,
-) -> list[float]:
-    """Sweep until no node admits an improving move; returns the objective
-    trace (strictly decreasing after the first entry)."""
-    n_total = root.rows.size
-    mis, leaves = _subtree_stats(root)
-    objective = mis / n_total + settings.alpha * leaves
-    trace = [objective]
-    while True:
-        moved = False
-        for node, depth, path in _walk(root):
-            move = _best_move(node, depth, path, xb, y, n_total, settings)
-            if move is not None:
-                _apply_move(node, move, xb, y)
-                objective += move[0]
-                trace.append(objective)
-                moved = True
-                break
-        if not moved:
-            return trace
-
-
-def _feature_sequence(node: _SNode) -> tuple[int, ...]:
-    if node.is_leaf:
-        return ()
-    return (node.feature,) + _feature_sequence(node.left) + _feature_sequence(node.right)
-
-
-def _freeze(root: _SNode, columns: tuple[str, ...]) -> Tree:
-    nodes: list = []
-    max_depth = 0
-
-    def rec(snode: _SNode, depth: int) -> int:
-        nonlocal max_depth
-        idx = len(nodes)
-        nodes.append(None)
-        if snode.is_leaf:
-            max_depth = max(max_depth, depth)
-            nodes[idx] = Leaf(n=int(snode.rows.size), n_struck=int(snode.n_struck))
-        else:
-            left = rec(snode.left, depth + 1)
-            right = rec(snode.right, depth + 1)
-            nodes[idx] = Split(feature=snode.feature, left=left, right=right)
-        return idx
-
-    rec(root, 0)
-    return Tree(nodes=tuple(nodes), root=0, columns=columns, depth=max_depth)
-
-
-def _run_restart(args):
-    xb, y, rows, settings, restart = args
-    if restart == 0:
-        root = _canonical_tree(xb, y, rows, 0, set(), settings)
-    else:
-        rng = np.random.default_rng([settings.seed, restart])
-        root = _random_tree(xb, y, rows, 0, set(), rng, settings)
-    _local_search(root, xb, y, settings)
-    mis, leaves = _subtree_stats(root)
-    objective = mis / rows.size + settings.alpha * leaves
-    return (objective, leaves, _feature_sequence(root)), root
-
-
-def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), threads: int = 1) -> Tree:
-    """Best-of-restarts local search for the penalized misclassification tree.
+    Costs are integers, misclassified * a_den + a_num * n * leaves with
+    a_num / a_den = alpha exactly, so float rounding never decides a tie.
+    Candidates compare by (cost, leaves, pre-order split features). That
+    order decomposes over the two children, because trees with equal leaves
+    have equal-length feature sequences, and among a node's candidates with
+    equal (cost, leaves) it picks the smallest split feature. Trying
+    features in ascending order and keeping only strict improvements in
+    (cost, leaves) therefore returns the globally first tree. Every leaf
+    costs at least a_num * n, which gives the two prunes: a leaf costing at
+    most two leaves' penalty is not split, and a split is dropped once its
+    right child plus one leaf exceeds the best.
 
     The matrix must already have race columns removed; leaves keep their
     training counts so p_strike is the empirical rate.
@@ -382,36 +101,70 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), threads:
         raise ContractViolationError(
             "fit_tree requires race columns to be removed first"
         )
-    if m.n < 2 * settings.min_leaf:
-        raise DegenerateDataError(
-            f"need at least {2 * settings.min_leaf} rows, got {m.n}"
-        )
-    xb = [m.x[:, j] != 0.0 for j in range(m.p)]
-    y = m.y
-    rows = np.arange(m.n)
-    tasks = [(xb, y, rows, settings, r) for r in range(settings.restarts)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_restart, tasks))
-    else:
-        results = [_run_restart(t) for t in tasks]
-    # Reduction is order-independent: strict lexicographic key comparison.
-    best_key, best_root = results[0]
-    for key, root in results[1:]:
-        if key < best_key:
-            best_key, best_root = key, root
-    return _freeze(best_root, m.columns)
+    min_leaf = settings.min_leaf
+    if m.n < 2 * min_leaf:
+        raise DegenerateDataError(f"need at least {2 * min_leaf} rows, got {m.n}")
+    a_num, a_den = float(settings.alpha).as_integer_ratio()
+    leaf_cost = a_num * m.n
+    features = [_bitset(m.x[:, j] != 0.0) for j in range(m.p)]
+    struck = _bitset(m.y != 0)
+    memo: dict[tuple[int, int], tuple] = {}
+
+    def best(rows: int, levels: int) -> tuple:
+        """(cost, leaves, split feature or None) of the best subtree."""
+        key = (rows, levels)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        n_rows = rows.bit_count()
+        n_struck = (rows & struck).bit_count()
+        result = (min(n_struck, n_rows - n_struck) * a_den + leaf_cost, 1, None)
+        if levels and n_rows >= 2 * min_leaf and result[0] > 2 * leaf_cost:
+            for f, has_f in enumerate(features):
+                right = rows & has_f
+                n_right = right.bit_count()
+                if n_right < min_leaf or n_rows - n_right < min_leaf:
+                    continue
+                r = best(right, levels - 1)
+                if r[0] + leaf_cost > result[0]:
+                    continue
+                l = best(rows ^ right, levels - 1)
+                candidate = (l[0] + r[0], l[1] + r[1], f)
+                if candidate[:2] < result[:2]:
+                    result = candidate
+        memo[key] = result
+        return result
+
+    nodes: list = []
+    depth = 0
+
+    def build(rows: int, level: int) -> int:
+        nonlocal depth
+        feature = best(rows, settings.max_depth - level)[2]
+        idx = len(nodes)
+        nodes.append(None)
+        if feature is None:
+            depth = max(depth, level)
+            nodes[idx] = Leaf(n=rows.bit_count(), n_struck=(rows & struck).bit_count())
+        else:
+            right = rows & features[feature]
+            left = build(rows ^ right, level + 1)
+            nodes[idx] = Split(feature=feature, left=left, right=build(right, level + 1))
+        return idx
+
+    try:
+        build((1 << m.n) - 1, 0)
+    finally:
+        # best() refers to itself, so the memo would otherwise live until a
+        # cyclic garbage collection.
+        memo.clear()
+    return Tree(nodes=tuple(nodes), root=0, columns=m.columns, depth=depth)
 
 
 def predict_leaf(tree: Tree, row) -> tuple[int, float]:
     """Route one feature vector (aligned to tree.columns) to its leaf."""
-    row = np.asarray(row)
-    idx = tree.root
-    node = tree.nodes[idx]
-    while isinstance(node, Split):
-        idx = node.right if row[node.feature] else node.left
-        node = tree.nodes[idx]
-    return idx, node.p_strike
+    idx = int(predict_leaves(tree, np.asarray(row)[None, :])[0])
+    return idx, tree.nodes[idx].p_strike
 
 
 def predict_leaves(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -467,12 +220,11 @@ def tune_alpha(
     folds: int,
     seed: int,
     settings: TreeSettings = TreeSettings(),
-    threads: int = 1,
 ) -> tuple[float, Tree]:
     """Pick the complexity penalty by out-of-fold misclassification.
 
-    Ties go to the larger alpha (simpler trees); the winner is refit on the
-    full training data.
+    ``seed`` draws the stratified folds. Ties go to the larger alpha
+    (simpler trees); the winner is refit on the full training data.
     """
     grid = tuple(sorted(alpha_grid))
     if not grid:
@@ -480,18 +232,16 @@ def tune_alpha(
     fold_idx = stratified_folds(train.y, folds, seed)
     best_alpha = None
     best_error = None
-    for ai, alpha in enumerate(grid):
+    for alpha in grid:
         errors = []
-        for fi, (tr, va) in enumerate(fold_idx):
-            fit_seed = int(np.random.default_rng([seed, ai, fi]).integers(2**31))
-            sub = dc_replace(settings, alpha=alpha, seed=fit_seed)
-            t = fit_tree(train.take_rows(tr), sub, threads=threads)
+        for tr, va in fold_idx:
+            t = fit_tree(train.take_rows(tr), dc_replace(settings, alpha=alpha))
             predicted = predict_labels(t, train.x[va])
             errors.append(float(np.mean(predicted != train.y[va])))
         mean_error = float(np.mean(errors))
         if best_error is None or mean_error <= best_error:
             best_alpha, best_error = alpha, mean_error
-    final = fit_tree(train, dc_replace(settings, alpha=best_alpha), threads=threads)
+    final = fit_tree(train, dc_replace(settings, alpha=best_alpha))
     return best_alpha, final
 
 

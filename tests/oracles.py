@@ -98,7 +98,7 @@ def enumerate_best_subset(m, k, settings):
 
 def enumerate_trees_best_objective(x, y, max_depth, min_leaf, alpha):
     """Minimum objective over all feasible trees of depth <= max_depth by
-    exhaustive recursion (practical for p <= 6, max_depth <= 2).
+    exhaustive recursion (practical for p <= 8, max_depth <= 3).
 
     Objective: misclassified/n + alpha * leaves, leaves >= min_leaf, no
     feature repeated on a path.
@@ -129,3 +129,46 @@ def enumerate_trees_best_objective(x, y, max_depth, min_leaf, alpha):
 
     mis, leaves = best(np.arange(n_total), 0, frozenset())
     return mis / n_total + alpha * leaves
+
+
+def enumerate_trees(x, y, max_depth, min_leaf):
+    """Every feasible tree of depth <= max_depth as (misclassified, leaves,
+    pre-order split features), by listing all of them (practical for p <= 6,
+    max_depth <= 3): leaves hold >= min_leaf rows, no feature repeats on a
+    path."""
+    x = np.asarray(x).astype(bool)
+    y = np.asarray(y).astype(int)
+    p = x.shape[1]
+
+    def trees(rows, depth, banned):
+        n_struck = int(y[rows].sum())
+        out = [(min(n_struck, rows.size - n_struck), 1, ())]
+        if depth < max_depth:
+            for f in range(p):
+                if f in banned:
+                    continue
+                mask = x[rows, f]
+                left = rows[~mask]
+                right = rows[mask]
+                if min(left.size, right.size) < min_leaf:
+                    continue
+                right_trees = trees(right, depth + 1, banned | {f})
+                for ml, ll, sl in trees(left, depth + 1, banned | {f}):
+                    for mr, lr, sr in right_trees:
+                        out.append((ml + mr, ll + lr, (f,) + sl + sr))
+        return out
+
+    return trees(np.arange(y.size), 0, frozenset())
+
+
+def enumerate_trees_best_key(x, y, max_depth, min_leaf, alpha):
+    """(objective, leaves, pre-order split features) of the first tree in
+    that order among all those enumerate_trees lists. The objective is the
+    exact rational misclassified/n + alpha * leaves, with alpha read as the
+    exact value of the float."""
+    n_total = len(y)
+    a = Fraction(alpha)
+    return min(
+        (Fraction(mis, n_total) + a * leaves, leaves, seq)
+        for mis, leaves, seq in enumerate_trees(x, y, max_depth, min_leaf)
+    )

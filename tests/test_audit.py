@@ -19,7 +19,7 @@ from strikeaudit.dataset import (
     synth_generate,
     write_csv,
 )
-from strikeaudit.errors import StageError
+from strikeaudit.errors import StageError, StrikeAuditError
 from strikeaudit.tree import tree_from_json
 
 from oracles import fisher_two_sided_exact
@@ -192,7 +192,6 @@ def disparity_audit_config(tmp_path, seed=0, n=900):
         seed=seed,
         k_max=3,
         folds=3,
-        restarts=12,
         alpha_grid=(0.01,),
         min_leaf=10,
     )
@@ -251,3 +250,9 @@ class TestRunAudit:
         cfg = disparity_audit_config(tmp_path, seed=10, n=900)
         back = AuditConfig.from_json(cfg.to_json())
         assert back == cfg
+
+    def test_config_unknown_key_rejected(self, tmp_path):
+        doc = disparity_audit_config(tmp_path, seed=10, n=900).to_json()
+        doc["restarts"] = 100
+        with pytest.raises(StrikeAuditError, match="'restarts'"):
+            AuditConfig.from_json(doc)

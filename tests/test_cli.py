@@ -40,7 +40,7 @@ SYNTH_CONFIG = {
 }
 
 FAST_FLAGS = ["--k-max", "3", "--folds", "3"]
-FAST_TREE_FLAGS = ["--restarts", "10", "--alpha-grid", "0.01", "--folds", "3"]
+FAST_TREE_FLAGS = ["--alpha-grid", "0.01", "--folds", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -141,13 +141,32 @@ class TestAudit:
 
     def test_config_file_fills_defaults(self, workdir):
         cfg_file = workdir["root"] / "audit_cfg.json"
-        cfg_file.write_text(json.dumps({"k_max": 2, "folds": 3, "restarts": 8,
+        cfg_file.write_text(json.dumps({"k_max": 2, "folds": 3, "min_leaf": 8,
                                         "alpha_grid": [0.01]}))
         flags, out = io_flags(workdir, "audit_cfg_out")
         assert main(["audit", *flags, "--seed", "7", "--config", str(cfg_file)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["provenance"]["settings"]["k_max"] == 2
-        assert report["provenance"]["settings"]["restarts"] == 8
+        assert report["provenance"]["settings"]["min_leaf"] == 8
+
+    def test_explicit_flag_equal_to_default_beats_config(self, workdir):
+        cfg_file = workdir["root"] / "audit_seed_cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 5, "k_max": 2, "folds": 3,
+                                        "alpha_grid": [0.01]}))
+        flags, out = io_flags(workdir, "audit_seed_out")
+        assert main(["audit", *flags, "--seed", "0", "--folds", "5",
+                     "--config", str(cfg_file)]) == 0
+        settings = json.loads((out / "report.json").read_text())["provenance"]["settings"]
+        assert settings["seed"] == 0
+        assert settings["folds"] == 5
+        assert settings["k_max"] == 2
+
+    def test_unknown_config_key_is_data_error(self, workdir, capsys):
+        cfg_file = workdir["root"] / "audit_bad_cfg.json"
+        cfg_file.write_text(json.dumps({"restarts": 8}))
+        flags, _ = io_flags(workdir, "audit_bad_out")
+        assert main(["audit", *flags, "--config", str(cfg_file)]) == 2
+        assert "'restarts'" in capsys.readouterr().err
 
     def test_report_rendering(self, workdir, capsys):
         flags, out = io_flags(workdir, "audit_render")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,6 @@ from strikeaudit.tree import (
     Split,
     Tree,
     TreeSettings,
-    _local_search,
-    _random_tree,
-    _run_restart,
-    _subtree_stats,
     describe_path,
     fit_tree,
     predict_leaf,
@@ -23,7 +21,7 @@ from strikeaudit.tree import (
     tune_alpha,
 )
 
-from oracles import enumerate_trees_best_objective
+from oracles import enumerate_trees, enumerate_trees_best_key, enumerate_trees_best_objective
 from test_dataset import paper_shaped_config
 
 
@@ -73,6 +71,16 @@ def tree_objective(tree, alpha):
     return mis / n + alpha * tree.n_leaves()
 
 
+def tree_key(tree, alpha):
+    """(exact objective, leaves, pre-order split features) of a fitted tree;
+    nodes are stored in pre-order, left child first."""
+    leaves = [tree.nodes[i] for i in tree.leaf_ids()]
+    n = sum(leaf.n for leaf in leaves)
+    mis = sum(min(leaf.n_struck, leaf.n - leaf.n_struck) for leaf in leaves)
+    features = tuple(node.feature for node in tree.nodes if isinstance(node, Split))
+    return Fraction(mis, n) + Fraction(alpha) * len(leaves), len(leaves), features
+
+
 class TestFitTree:
     def test_race_column_rejected(self):
         m = binary_matrix(0, 100, 3)
@@ -88,14 +96,14 @@ class TestFitTree:
 
     def test_alpha_one_gives_single_leaf(self):
         m = binary_matrix(2, 400, 4, rate_fn=lambda x: 0.2 + 0.6 * x[:, 0])
-        tree = fit_tree(m, TreeSettings(alpha=1.0, restarts=20, seed=0))
+        tree = fit_tree(m, TreeSettings(alpha=1.0))
         assert tree.n_leaves() == 1
         leaf = tree.nodes[tree.root]
         assert leaf.n == 400
 
     def test_depth1_planted_split_recovered(self):
         m = binary_matrix(3, 2000, 5, rate_fn=lambda x: 0.2 + 0.7 * x[:, 2])
-        settings = TreeSettings(max_depth=1, alpha=0.01, min_leaf=10, restarts=30, seed=1)
+        settings = TreeSettings(max_depth=1, alpha=0.01, min_leaf=10)
         tree = fit_tree(m, settings)
         assert isinstance(tree.nodes[tree.root], Split)
         assert tree.nodes[tree.root].feature == 2
@@ -111,10 +119,39 @@ class TestFitTree:
                 seed, int(rng.integers(80, 250)), p,
                 rate_fn=lambda x: 0.25 + 0.5 * x[:, 0] * (1 - x[:, min(1, x.shape[1] - 1)]),
             )
-            settings = TreeSettings(max_depth=2, alpha=0.02, min_leaf=5, restarts=40, seed=seed)
+            settings = TreeSettings(max_depth=2, alpha=0.02, min_leaf=5)
             tree = fit_tree(m, settings)
             best = enumerate_trees_best_objective(m.x, m.y, 2, 5, 0.02)
             assert tree_objective(tree, 0.02) == pytest.approx(best, abs=1e-12)
+
+    def test_tie_break_matches_oracle(self):
+        # alpha is a multiple of 1/n. For n a power of two alpha * n is exact,
+        # so trading one leaf for alpha * n misclassified rows is a tie; for
+        # other n the two sides differ only by the float rounding of alpha.
+        rng = np.random.default_rng(2024)
+        cases = []
+        for _ in range(30):
+            p = int(rng.integers(2, 7))
+            n = int(rng.choice([64, 100, 128, 250, 256]))
+            x = (rng.random((n, p)) < rng.uniform(0.3, 0.7, p)).astype(float)
+            y = (rng.random(n) < 0.2 + 0.5 * x[:, 0] * (1 - x[:, -1])).astype(int)
+            cases.append((x, y, int(rng.integers(1, 4)), int(rng.integers(0, 5)) / n))
+        # Labels equal to q1 at alpha = 0: splitting on q0 first already
+        # reaches zero cost, with four leaves where q1 alone needs two.
+        x = (rng.random((64, 3)) < 0.5).astype(float)
+        cases.append((x, x[:, 1].astype(int), 2, 0.0))
+        ties = 0
+        for x, y, depth, alpha in cases:
+            m = FeatureMatrix(x=x, columns=tuple(f"q{j}" for j in range(x.shape[1])), y=y)
+            settings = TreeSettings(max_depth=depth, alpha=alpha, min_leaf=4)
+            expected = enumerate_trees_best_key(x, y, depth, 4, alpha)
+            assert tree_key(fit_tree(m, settings), alpha) == expected
+            tied_leaves = {
+                leaves for mis, leaves, _ in enumerate_trees(x, y, depth, 4)
+                if Fraction(mis, len(y)) + Fraction(alpha) * leaves == expected[0]
+            }
+            ties += len(tied_leaves) > 1
+        assert ties >= 3
 
     def test_paper_shaped_recovery(self):
         cfg = paper_shaped_config(5000)
@@ -129,21 +166,21 @@ class TestFitTree:
         for seed in range(3):
             table = synth_generate(cfg, seed=seed + 400)
             m = build_matrix(table).without_race()
-            tree = fit_tree(m, TreeSettings(restarts=60, seed=seed))
+            tree = fit_tree(m, TreeSettings())
             paths = sorted(tuple(describe_path(tree, l)) for l in tree.leaf_ids())
             hits += paths == expected
         assert hits >= 2
 
     def test_leaf_counts_partition_training_rows(self):
         m = binary_matrix(4, 600, 4, rate_fn=lambda x: 0.2 + 0.5 * x[:, 1])
-        tree = fit_tree(m, TreeSettings(restarts=20, seed=3))
+        tree = fit_tree(m, TreeSettings())
         leaves = [tree.nodes[i] for i in tree.leaf_ids()]
         assert sum(l.n for l in leaves) == m.n
         assert all(l.n >= 10 for l in leaves)
 
     def test_leaf_probabilities_are_empirical_means(self):
         m = binary_matrix(5, 800, 4, rate_fn=lambda x: 0.15 + 0.6 * x[:, 0])
-        tree = fit_tree(m, TreeSettings(restarts=20, seed=4))
+        tree = fit_tree(m, TreeSettings())
         routed = predict_leaves(tree, m.x)
         for leaf_id in tree.leaf_ids():
             rows = routed == leaf_id
@@ -153,7 +190,7 @@ class TestFitTree:
 
     def test_no_feature_repeats_on_any_path(self):
         m = binary_matrix(6, 700, 5, rate_fn=lambda x: 0.2 + 0.3 * x[:, 0] + 0.3 * x[:, 2])
-        tree = fit_tree(m, TreeSettings(restarts=25, seed=5))
+        tree = fit_tree(m, TreeSettings())
         for leaf_id in tree.leaf_ids():
             conditions = describe_path(tree, leaf_id)
             names = [c.split(" = ")[0] for c in conditions]
@@ -162,34 +199,10 @@ class TestFitTree:
 
     def test_deterministic_and_thread_invariant(self):
         m = binary_matrix(7, 500, 4, rate_fn=lambda x: 0.2 + 0.5 * x[:, 1])
-        settings = TreeSettings(restarts=16, seed=9)
+        settings = TreeSettings()
         a = tree_to_json(fit_tree(m, settings))
         b = tree_to_json(fit_tree(m, settings))
-        c = tree_to_json(fit_tree(m, settings, threads=4))
-        assert a == b == c
-
-    def test_returned_objective_not_above_any_restart(self):
-        m = binary_matrix(8, 400, 4, rate_fn=lambda x: 0.25 + 0.4 * x[:, 0])
-        settings = TreeSettings(restarts=12, seed=11)
-        tree = fit_tree(m, settings)
-        xb = [m.x[:, j] != 0 for j in range(m.p)]
-        rows = np.arange(m.n)
-        visited = [
-            _run_restart((xb, m.y, rows, settings, r))[0][0]
-            for r in range(settings.restarts)
-        ]
-        assert tree_objective(tree, settings.alpha) <= min(visited) + 1e-12
-
-    def test_local_search_trace_strictly_decreasing(self):
-        m = binary_matrix(9, 900, 5, rate_fn=lambda x: 0.15 + 0.5 * x[:, 0] + 0.2 * x[:, 3])
-        xb = [m.x[:, j] != 0 for j in range(m.p)]
-        rows = np.arange(m.n)
-        settings = TreeSettings(restarts=1, seed=13)
-        for r in range(1, 8):
-            rng = np.random.default_rng([settings.seed, r])
-            root = _random_tree(xb, m.y, rows, 0, set(), rng, settings)
-            trace = _local_search(root, xb, m.y, settings)
-            assert all(b < a for a, b in zip(trace, trace[1:]))
+        assert a == b
 
 
 class TestPredict:
@@ -249,7 +262,7 @@ class TestTuneAlpha:
     def test_singleton_grid(self):
         m = binary_matrix(20, 300, 3, rate_fn=lambda x: 0.2 + 0.5 * x[:, 0])
         alpha, tree = tune_alpha(m, [0.02], folds=3, seed=0,
-                                 settings=TreeSettings(restarts=10, seed=0))
+                                 settings=TreeSettings())
         assert alpha == 0.02
         assert tree.n_leaves() >= 1
 
@@ -264,7 +277,7 @@ class TestTuneAlpha:
             m = binary_matrix(seed + 90, 600, 4)  # y independent of x
             alpha, tree = tune_alpha(
                 m, [0.005, 0.05, 0.3], folds=3, seed=seed,
-                settings=TreeSettings(restarts=10, seed=seed),
+                settings=TreeSettings(),
             )
             if alpha == 0.3 and tree.n_leaves() == 1:
                 wins += 1
@@ -279,7 +292,7 @@ class TestTuneAlpha:
             )
             alpha, _ = tune_alpha(
                 m, [0.001, 0.01, 0.5], folds=3, seed=seed,
-                settings=TreeSettings(restarts=15, seed=seed),
+                settings=TreeSettings(),
             )
             if alpha <= 0.01:
                 wins += 1
@@ -296,7 +309,7 @@ class TestSerialization:
 
     def test_fit_round_trip(self):
         m = binary_matrix(30, 400, 4, rate_fn=lambda x: 0.2 + 0.5 * x[:, 2])
-        tree = fit_tree(m, TreeSettings(restarts=10, seed=2))
+        tree = fit_tree(m, TreeSettings())
         assert tree_from_json(tree_to_json(tree)) == tree
 
     def test_text_rendering(self):
