@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 
 from . import logreg, stats, subset, tree as tree_mod
 from .dataset import (
+    MISSING_POLICIES,
     RACE_FEATURE_NAMES,
     FeatureMatrix,
     JurorTable,
@@ -147,12 +149,11 @@ def ablation_auc(
     seed: int,
     settings: FitSettings = FitSettings(),
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Test AUC with all features vs with race columns removed, same seed."""
     if not train.race_columns or not test.race_columns:
         raise ValueError("ablation requires race columns in both matrices")
-    full = subset.subset_path(train, test, k_max, folds, seed, settings, budget, threads)
+    full = subset.subset_path(train, test, k_max, folds, seed, settings, budget)
     train_nr = train.without_race()
     ablated = subset.subset_path(
         train_nr,
@@ -162,7 +163,6 @@ def ablation_auc(
         seed,
         settings,
         budget,
-        threads,
     )
     return full.test_auc, ablated.test_auc
 
@@ -184,7 +184,43 @@ class AuditConfig:
     min_leaf: int = 10
     alpha_grid: tuple[float, ...] = (0.001, 0.01, 0.1)
     alpha_level: float = 0.05
-    threads: int = 1
+
+    def __post_init__(self):
+        # Checked once here, so that a malformed config file is a data error
+        # and not a TypeError from deep inside a stage.
+        def real(v):
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+        def listed(v, item):
+            return isinstance(v, (list, tuple)) and all(map(item, v))
+
+        rules = [
+            ("input_path", isinstance(self.input_path, (str, Path)), "a path"),
+            ("catalog", listed(self.catalog, lambda c: isinstance(c, str)), "a list of names"),
+            ("train_fraction", real(self.train_fraction) and 0 < self.train_fraction < 1,
+             "a number in (0, 1)"),
+            ("missing_policy", self.missing_policy in MISSING_POLICIES,
+             f"one of {', '.join(MISSING_POLICIES)}"),
+            ("ridge", self.ridge is None or real(self.ridge) and self.ridge >= 0,
+             "null or a number >= 0"),
+            ("fit_tolerance", real(self.fit_tolerance) and self.fit_tolerance > 0, "a number > 0"),
+            ("alpha_grid", listed(self.alpha_grid, lambda a: real(a) and a >= 0)
+             and len(self.alpha_grid) > 0, "a non-empty list of numbers >= 0"),
+            ("alpha_level", real(self.alpha_level) and 0 < self.alpha_level < 1,
+             "a number in (0, 1)"),
+        ]
+        for name, low in (("seed", 0), ("k_max", 1), ("folds", 2), ("max_iterations", 1),
+                          ("node_budget", 1), ("max_depth", 1), ("min_leaf", 1)):
+            v = getattr(self, name)
+            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+            rules.append((name, ok, f"an integer >= {low}"))
+        for name, ok, want in rules:
+            if not ok:
+                raise StrikeAuditError(
+                    f"audit config {name} must be {want}, got {getattr(self, name)!r}"
+                )
+        self.catalog = tuple(self.catalog)
+        self.alpha_grid = tuple(self.alpha_grid)
 
     def fit_settings(self) -> FitSettings:
         return FitSettings(
@@ -214,11 +250,7 @@ class AuditConfig:
             raise StrikeAuditError(
                 f"unknown audit config key(s): {', '.join(map(repr, unknown))}"
             )
-        kwargs = dict(obj)
-        kwargs["catalog"] = tuple(kwargs["catalog"])
-        if "alpha_grid" in kwargs:
-            kwargs["alpha_grid"] = tuple(kwargs["alpha_grid"])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 @dataclass
@@ -285,8 +317,7 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
     k_max = min(cfg.k_max, train.p)
     with _stage("subset"):
         path = subset.subset_path(
-            train, test, k_max, cfg.folds, cfg.seed, fit_settings,
-            cfg.node_budget, cfg.threads,
+            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget,
         )
     with _stage("importance"):
         importance = subset.importance_profile(path)
@@ -296,7 +327,7 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         train_nr = train.without_race()
         ablated = subset.subset_path(
             train_nr, test.without_race(), min(k_max, train_nr.p), cfg.folds,
-            cfg.seed, fit_settings, cfg.node_budget, cfg.threads,
+            cfg.seed, fit_settings, cfg.node_budget,
         )
         auc_full, auc_ablated = path.test_auc, ablated.test_auc
     with _stage("tree"):

@@ -64,8 +64,6 @@ def _add_ofs_flags(sub):
                      help="ridge strength; default 1/n")
     sub.add_argument("--budget", type=int, default=subset.DEFAULT_NODE_BUDGET,
                      help="branch-and-bound node budget")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="parallel workers for folds (default 1)")
 
 
 def _add_tree_flags(sub):
@@ -94,13 +92,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _uncertified(path: subset.SubsetPath) -> str:
+    """Summary-line suffix naming the subset sizes not certified optimal."""
+    ks = [e.k for e in path.entries if not e.certified]
+    return f" uncertified_k={ks}" if ks else ""
+
+
 def _cmd_ofs(args) -> int:
     _, m = _prepared_matrix(args)
     train, test = dataset.split(m, args.train_fraction, args.seed)
     settings = FitSettings(ridge=args.ridge)
     path = subset.subset_path(
-        train, test, min(args.k_max, train.p), args.folds, args.seed,
-        settings, args.budget, args.threads,
+        train, test, min(args.k_max, train.p), args.folds, args.seed, settings, args.budget,
     )
     profile = subset.importance_profile(path)
     out = Path(args.out)
@@ -108,7 +111,7 @@ def _cmd_ofs(args) -> int:
     _write_json(out / "subset_path.json", subset.path_to_json(path))
     (out / "ofs_curve.csv").write_text(subset.curve_csv(path))
     (out / "importance.csv").write_text(profile.to_csv())
-    print(f"chosen_k={path.chosen_k} test_auc={path.test_auc:.4f}")
+    print(f"chosen_k={path.chosen_k} test_auc={path.test_auc:.4f}{_uncertified(path)}")
     return 0
 
 
@@ -167,7 +170,7 @@ def _cmd_ablate(args) -> int:
     train, test = dataset.split(m, args.train_fraction, args.seed)
     auc_full, auc_ablated = audit_mod.ablation_auc(
         train, test, min(args.k_max, train.p), args.folds, args.seed,
-        FitSettings(ridge=args.ridge), args.budget, args.threads,
+        FitSettings(ridge=args.ridge), args.budget,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +183,7 @@ def _cmd_ablate(args) -> int:
 # node_budget; the others share the field's name).
 _AUDIT_FLAGS = (
     "seed", "missing_policy", "train_fraction", "k_max", "folds", "ridge", "budget",
-    "threads", "max_depth", "min_leaf", "alpha_grid", "alpha_level",
+    "max_depth", "min_leaf", "alpha_grid", "alpha_level",
 )
 
 
@@ -203,6 +206,7 @@ def _cmd_audit(args) -> int:
     print(
         f"chosen_k={report.path.chosen_k} auc_full={report.auc_full:.4f} "
         f"auc_ablated={report.auc_ablated:.4f} significant_leaves={flagged}"
+        f"{_uncertified(report.path)}"
     )
     return 0
 

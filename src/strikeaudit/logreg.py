@@ -68,18 +68,26 @@ class LogisticModel:
             raise ValueError("beta length must match support size")
 
 
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(eta: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-eta)) from z = exp(-|eta|), which cannot overflow."""
+    if z is None:
+        z = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, z) / (1.0 + z)
 
 
-def _nll_raw(eta: np.ndarray, y: np.ndarray) -> float:
+def _nll_raw(eta: np.ndarray, y: np.ndarray, z: np.ndarray | None = None) -> float:
     # log(1 + exp(eta)) - y*eta, evaluated as log1p(exp(-|eta|)) + max(eta, 0) - y*eta
-    return float(np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta))
+    if z is None:
+        z = np.exp(-np.abs(eta))
+    return float(np.sum(np.log1p(z) + np.maximum(eta, 0.0) - y * eta))
+
+
+def _gradient(xs: np.ndarray, resid: np.ndarray, ridge: float, beta: np.ndarray) -> np.ndarray:
+    """Gradient in (intercept, beta) from the residuals p - y."""
+    g = np.empty(beta.size + 1)
+    g[0] = resid.sum()
+    g[1:] = xs.T @ resid + ridge * beta
+    return g
 
 
 def _design(m: FeatureMatrix, support) -> np.ndarray:
@@ -101,12 +109,8 @@ def nll(model: LogisticModel, m: FeatureMatrix) -> float:
 def gradient(model: LogisticModel, m: FeatureMatrix) -> np.ndarray:
     """Gradient of ``nll`` in (intercept, beta); intercept component first."""
     xs = _design(m, model.support)
-    eta = model.intercept + xs @ model.beta
-    resid = _sigmoid(eta) - m.y
-    g = np.empty(len(model.support) + 1)
-    g[0] = resid.sum()
-    g[1:] = xs.T @ resid + model.ridge * model.beta
-    return g
+    resid = _sigmoid(model.intercept + xs @ model.beta) - m.y
+    return _gradient(xs, resid, model.ridge, model.beta)
 
 
 def predict_proba(model: LogisticModel, m: FeatureMatrix) -> np.ndarray:
@@ -133,41 +137,34 @@ def fit(
     y = m.y.astype(float)
     n, k = xs.shape
     ridge = settings.resolve_ridge(n)
+    ridge_eye = ridge * np.eye(k)
 
-    theta = np.zeros(k + 1) if init is None else np.asarray(init, dtype=float).copy()
-    penalty_mask = np.ones(k + 1)
-    penalty_mask[0] = 0.0  # intercept unpenalized
-
-    def objective(t):
+    def evaluate(t):
+        """eta, z = exp(-|eta|) and the objective at t."""
         eta = t[0] + xs @ t[1:]
-        return _nll_raw(eta, y) + 0.5 * ridge * float(t[1:] @ t[1:])
+        z = np.exp(-np.abs(eta))
+        return eta, z, _nll_raw(eta, y, z) + 0.5 * ridge * float(t[1:] @ t[1:])
 
-    def grad_at(t):
-        resid = _sigmoid(t[0] + xs @ t[1:]) - y
-        g = np.empty(k + 1)
-        g[0] = resid.sum()
-        g[1:] = xs.T @ resid + ridge * t[1:]
-        return g
+    def probability_and_gradient(t, eta, z):
+        p = _sigmoid(eta, z)
+        return p, _gradient(xs, p - y, ridge, t[1:])
 
-    current = objective(theta)
+    # Every quantity below belongs to the accepted theta and is computed once.
+    theta = np.zeros(k + 1) if init is None else np.asarray(init, dtype=float).copy()
+    eta, z, current = evaluate(theta)
+    p, g = probability_and_gradient(theta, eta, z)
     trace = [current] if record_trace else None
     iterations = 0
-    converged = False
-    gmax = math.inf
     for iterations in range(1, settings.max_iterations + 1):
-        eta = theta[0] + xs @ theta[1:]
-        p = _sigmoid(eta)
-        g = grad_at(theta)
         gmax = float(np.max(np.abs(g)))
         if gmax <= settings.tolerance:
-            converged = True
             iterations -= 1
             break
         w = p * (1.0 - p)
         h = np.empty((k + 1, k + 1))
         h[0, 0] = w.sum()
         h[0, 1:] = h[1:, 0] = xs.T @ w
-        h[1:, 1:] = (xs * w[:, None]).T @ xs + ridge * np.eye(k)
+        h[1:, 1:] = (xs * w[:, None]).T @ xs + ridge_eye
         try:
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
@@ -181,17 +178,13 @@ def fit(
         slack = 8.0 * np.finfo(float).eps * max(1.0, abs(current))
         for _ in range(60):
             candidate = theta - scale * step
-            value = objective(candidate)
-            if value < current:
-                theta, current = candidate, value
-                improved = True
-                break
-            if value <= current + slack and float(
-                np.max(np.abs(grad_at(candidate)))
-            ) < gmax:
-                theta, current = candidate, value
-                improved = True
-                break
+            c_eta, c_z, value = evaluate(candidate)
+            if value <= current + slack:
+                c_p, c_g = probability_and_gradient(candidate, c_eta, c_z)
+                if value < current or float(np.max(np.abs(c_g))) < gmax:
+                    theta, eta, current, p, g = candidate, c_eta, value, c_p, c_g
+                    improved = True
+                    break
             scale *= 0.5
         if record_trace:
             trace.append(current)
@@ -200,12 +193,6 @@ def fit(
     else:
         iterations = settings.max_iterations
 
-    # Final gradient for diagnostics (theta may have moved since last check).
-    eta = theta[0] + xs @ theta[1:]
-    resid = _sigmoid(eta) - y
-    g = np.empty(k + 1)
-    g[0] = resid.sum()
-    g[1:] = xs.T @ resid + ridge * theta[1:]
     gmax = float(np.max(np.abs(g)))
     # With ridge = 0 and every row classified with positive margin, the data
     # is separated by the fitted hyperplane and the optimum sits at infinity;

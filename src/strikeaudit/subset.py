@@ -3,14 +3,15 @@
 Branch-and-bound over include/exclude decisions. The bound at a node is the
 penalized likelihood of a fit on the union of all still-allowed features:
 restricting the support can only raise the optimal objective, so that fit
-lower-bounds every descendant. Warm starts come from forward selection plus
-single-swap local search. Also: the backward-stepwise baseline and the
-per-size importance profile.
+lower-bounds every descendant, provided it converged. The incumbent comes
+from greedy forward selection. A result is certified optimal only when the
+search finished within its node budget, no node was dismissed on an
+unconverged fit, and the winner's fit converged. Also: the backward-stepwise
+baseline and the per-size importance profile.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ class SubsetPathEntry:
     cv_auc_mean: float
     cv_auc_sd: float
     train_nll: float
+    certified: bool  # certified optimal on the full training data and every fold
 
 
 @dataclass
@@ -74,12 +76,9 @@ class _FitCache:
             self._models[key] = model
         return model
 
-    def objective(self, support, warm_from: LogisticModel | None = None) -> float:
-        return self.fit(support, warm_from).diagnostics.final_nll
 
-
-def _forward_swap(cache: _FitCache, p: int, k: int) -> tuple[frozenset, float]:
-    """Greedy forward selection to size k, then single-swap local search."""
+def _forward(cache: _FitCache, p: int, k: int) -> tuple[frozenset, float]:
+    """Greedy forward selection to size k."""
     support: frozenset = frozenset()
     model = cache.fit(support)
     best_obj = model.diagnostics.final_nll
@@ -88,7 +87,7 @@ def _forward_swap(cache: _FitCache, p: int, k: int) -> tuple[frozenset, float]:
         for j in range(p):
             if j in support:
                 continue
-            val = cache.objective(support | {j}, warm_from=model)
+            val = cache.fit(support | {j}, warm_from=model).diagnostics.final_nll
             if best_j is None or val < best_val:
                 best_j, best_val = j, val
         if best_j is None:
@@ -96,23 +95,6 @@ def _forward_swap(cache: _FitCache, p: int, k: int) -> tuple[frozenset, float]:
         support = support | {best_j}
         model = cache.fit(support)
         best_obj = best_val
-    for _ in range(20):
-        improved = False
-        for i in sorted(support):
-            for j in range(p):
-                if j in support:
-                    continue
-                cand = (support - {i}) | {j}
-                val = cache.objective(cand, warm_from=model)
-                if val < best_obj - 1e-10:
-                    support, best_obj = cand, val
-                    model = cache.fit(support)
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
     return support, best_obj
 
 
@@ -124,14 +106,18 @@ def _branch_and_bound(
     incumbent: tuple[frozenset, float],
 ) -> tuple[frozenset, float, bool]:
     best_support, best_obj = incumbent
-
-    def consider(support, obj):
-        nonlocal best_support, best_obj
-        if obj < best_obj:
-            best_support, best_obj = frozenset(support), obj
-
     nodes = 0
     certified = True
+
+    def consider(support, warm_from):
+        # An unconverged fit's objective overstates the support's optimum, so
+        # dismissing the support on it is not sound.
+        nonlocal best_support, best_obj, certified
+        model = cache.fit(support, warm_from)
+        certified &= model.diagnostics.converged
+        if model.diagnostics.final_nll < best_obj:
+            best_support, best_obj = frozenset(support), model.diagnostics.final_nll
+
     # Stack entries: (forced, allowed, bound, bound_model); include-children
     # inherit the parent's bound, exclude-children are re-bounded on pop.
     stack: list[tuple[frozenset, tuple[int, ...], float | None, LogisticModel | None]] = [
@@ -147,22 +133,23 @@ def _branch_and_bound(
         nodes += 1
         slots = k - len(forced)
         if slots <= 0 or not allowed:
-            consider(forced, cache.objective(forced, warm_from=bound_model))
+            consider(forced, bound_model)
             continue
         if len(forced) + len(allowed) <= k:
-            union = forced | set(allowed)
-            consider(union, cache.objective(union, warm_from=bound_model))
+            consider(forced | set(allowed), bound_model)
             continue
         if bound is None:
-            union = forced | set(allowed)
-            bound_model = cache.fit(union, warm_from=bound_model)
-            bound = bound_model.diagnostics.final_nll
+            bound_model = cache.fit(forced | set(allowed), warm_from=bound_model)
+            # Only a converged fit attains the minimum over the union; an
+            # unconverged one bounds nothing and never prunes.
+            diag = bound_model.diagnostics
+            bound = diag.final_nll if diag.converged else -np.inf
             if bound >= best_obj - _PRUNE_EPS:
                 continue
         if slots == 1:
-            consider(forced, cache.objective(forced, warm_from=bound_model))
+            consider(forced, bound_model)
             for u in allowed:
-                consider(forced | {u}, cache.objective(forced | {u}, warm_from=bound_model))
+                consider(forced | {u}, bound_model)
             continue
         # Branch on the allowed feature with the largest coefficient in the
         # relaxation fit; ties go to the smaller index.
@@ -183,16 +170,7 @@ def _best_subset_cached(
     p = cache.m.p
     if k < 0 or k > p:
         raise ValueError(f"k must be in [0, {p}], got {k}")
-    if k == 0:
-        model = cache.fit(frozenset())
-        return SubsetResult(
-            k=0,
-            support=(),
-            model=model,
-            objective=model.diagnostics.final_nll,
-            certified_optimal=True,
-        )
-    support, obj = _forward_swap(cache, p, k)
+    support, obj = _forward(cache, p, k)
     if incumbent is not None and incumbent[1] < obj:
         support, obj = incumbent
     support, obj, certified = _branch_and_bound(cache, p, k, budget, (support, obj))
@@ -205,7 +183,7 @@ def _best_subset_cached(
         support=ordered,
         model=model,
         objective=model.diagnostics.final_nll,
-        certified_optimal=certified,
+        certified_optimal=certified and model.diagnostics.converged,
     )
 
 
@@ -217,8 +195,10 @@ def best_subset(
 ) -> SubsetResult:
     """Globally optimal support of size <= k for the penalized likelihood.
 
-    certified_optimal is False when the node budget ran out; the incumbent
-    (forward selection + swaps, plus any search progress) is returned.
+    certified_optimal is False when the node budget ran out, when a support
+    was dismissed on an unconverged fit, or when the winner's fit did not
+    converge; the best support found (the forward-selection incumbent or
+    better) is returned either way.
     """
     return _best_subset_cached(_FitCache(m, settings), k, budget)
 
@@ -229,16 +209,19 @@ def _fold_aucs(
     k_max: int,
     settings: FitSettings,
     budget: int,
-) -> list[float]:
+) -> tuple[list[float], list[bool]]:
+    """Validation AUC and certification of the best subset per k."""
     cache = _FitCache(fold_train, settings)
     aucs = []
+    certified = []
     incumbent = None
     for k in range(1, k_max + 1):
         res = _best_subset_cached(cache, k, budget, incumbent)
         incumbent = (frozenset(res.support), res.objective)
         scores = logreg.predict_proba(res.model, fold_val)
         aucs.append(stats.auc(scores, fold_val.y))
-    return aucs
+        certified.append(res.certified_optimal)
+    return aucs, certified
 
 
 def subset_path(
@@ -249,7 +232,6 @@ def subset_path(
     seed: int,
     settings: FitSettings = FitSettings(),
     budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> SubsetPath:
     """Cross-validated model-size selection over k = 1..k_max.
 
@@ -263,20 +245,12 @@ def subset_path(
     if train.columns != test.columns:
         raise ValueError("train and test matrices must share columns")
     fold_idx = stratified_folds(train.y, folds, seed)
-    fold_parts = [(train.take_rows(tr), train.take_rows(va)) for tr, va in fold_idx]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fold_aucs, ftr, fva, k_max, settings, budget)
-                for ftr, fva in fold_parts
-            ]
-            per_fold = [f.result() for f in futures]
-    else:
-        per_fold = [
-            _fold_aucs(ftr, fva, k_max, settings, budget) for ftr, fva in fold_parts
-        ]
-    auc_matrix = np.asarray(per_fold)  # folds x k_max
+    per_fold = [
+        _fold_aucs(train.take_rows(tr), train.take_rows(va), k_max, settings, budget)
+        for tr, va in fold_idx
+    ]
+    auc_matrix = np.asarray([aucs for aucs, _ in per_fold])  # folds x k_max
+    folds_certified = [all(c[k] for _, c in per_fold) for k in range(k_max)]
 
     cache = _FitCache(train, settings)
     entries = []
@@ -292,6 +266,7 @@ def subset_path(
                 cv_auc_mean=float(auc_matrix[:, k - 1].mean()),
                 cv_auc_sd=float(auc_matrix[:, k - 1].std(ddof=1)),
                 train_nll=res.objective,
+                certified=res.certified_optimal and folds_certified[k - 1],
             )
         )
         models.append(res.model)
@@ -372,6 +347,7 @@ def path_to_json(path: SubsetPath) -> dict:
                 "cv_auc_mean": e.cv_auc_mean,
                 "cv_auc_sd": e.cv_auc_sd,
                 "train_nll": e.train_nll,
+                "certified": e.certified,
             }
             for e in path.entries
         ],

@@ -5,6 +5,7 @@ Each oracle recomputes a quantity by the most literal method available
 and never calls the code path it verifies.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -94,6 +95,105 @@ def enumerate_best_subset(m, k, settings):
             if best_obj is None or obj < best_obj:
                 best_obj, best_support = obj, support
     return best_support, best_obj
+
+
+def _masked_sigmoid(eta):
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ez = np.exp(eta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _nll_terms(eta, y):
+    return float(np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta))
+
+
+def reference_newton_fit(m, support, settings, init=None, record_trace=False):
+    """The damped Newton fit written out step by step: a masked sigmoid, and
+    the sigmoid and gradient recomputed wherever a step needs them (before
+    the Hessian, in the line search and for the final diagnostics).
+
+    Returns (theta, final_nll, iterations, converged, max_abs_gradient,
+    trace); logreg.fit must reproduce every one bit for bit.
+    """
+    support = tuple(support)
+    xs = m.x[:, support]
+    y = m.y.astype(float)
+    n, k = xs.shape
+    ridge = 1.0 / n if settings.ridge is None else settings.ridge
+
+    theta = np.zeros(k + 1) if init is None else np.asarray(init, dtype=float).copy()
+
+    def objective(t):
+        eta = t[0] + xs @ t[1:]
+        return _nll_terms(eta, y) + 0.5 * ridge * float(t[1:] @ t[1:])
+
+    def grad_at(t):
+        resid = _masked_sigmoid(t[0] + xs @ t[1:]) - y
+        g = np.empty(k + 1)
+        g[0] = resid.sum()
+        g[1:] = xs.T @ resid + ridge * t[1:]
+        return g
+
+    current = objective(theta)
+    trace = [current] if record_trace else None
+    iterations = 0
+    gmax = math.inf
+    for iterations in range(1, settings.max_iterations + 1):
+        eta = theta[0] + xs @ theta[1:]
+        p = _masked_sigmoid(eta)
+        g = grad_at(theta)
+        gmax = float(np.max(np.abs(g)))
+        if gmax <= settings.tolerance:
+            iterations -= 1
+            break
+        w = p * (1.0 - p)
+        h = np.empty((k + 1, k + 1))
+        h[0, 0] = w.sum()
+        h[0, 1:] = h[1:, 0] = xs.T @ w
+        h[1:, 1:] = (xs * w[:, None]).T @ xs + ridge * np.eye(k)
+        try:
+            step = np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(h, g, rcond=None)[0]
+        scale = 1.0
+        improved = False
+        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(current))
+        for _ in range(60):
+            candidate = theta - scale * step
+            value = objective(candidate)
+            if value < current:
+                theta, current = candidate, value
+                improved = True
+                break
+            if value <= current + slack and float(
+                np.max(np.abs(grad_at(candidate)))
+            ) < gmax:
+                theta, current = candidate, value
+                improved = True
+                break
+            scale *= 0.5
+        if record_trace:
+            trace.append(current)
+        if not improved:
+            break
+    else:
+        iterations = settings.max_iterations
+
+    eta = theta[0] + xs @ theta[1:]
+    resid = _masked_sigmoid(eta) - y
+    g = np.empty(k + 1)
+    g[0] = resid.sum()
+    g[1:] = xs.T @ resid + ridge * theta[1:]
+    gmax = float(np.max(np.abs(g)))
+    separated = ridge == 0.0 and bool(np.all((2.0 * y - 1.0) * eta > 0.0))
+    converged = gmax <= settings.tolerance and not separated
+    return (
+        theta, current, iterations, converged, gmax,
+        tuple(trace) if record_trace else None,
+    )
 
 
 def enumerate_trees_best_objective(x, y, max_depth, min_leaf, alpha):

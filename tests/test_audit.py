@@ -251,6 +251,24 @@ class TestRunAudit:
         back = AuditConfig.from_json(cfg.to_json())
         assert back == cfg
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k_max", "3"), ("k_max", 0), ("k_max", True), ("seed", -1), ("seed", 1.5),
+            ("folds", 1), ("train_fraction", 1.0), ("train_fraction", "0.7"),
+            ("missing_policy", "zero"), ("ridge", -0.1), ("ridge", "1"),
+            ("fit_tolerance", 0), ("max_iterations", 0), ("node_budget", 0),
+            ("max_depth", 0), ("min_leaf", 0), ("alpha_grid", []),
+            ("alpha_grid", [0.01, -1]), ("alpha_grid", "0.01"), ("alpha_level", 0),
+            ("catalog", "accused"), ("catalog", [1, 2]), ("input_path", 7),
+        ],
+    )
+    def test_config_bad_value_rejected(self, key, value):
+        doc = AuditConfig(input_path="x.csv", catalog=("a",)).to_json()
+        doc[key] = value
+        with pytest.raises(StrikeAuditError, match=key):
+            AuditConfig.from_json(doc)
+
     def test_config_unknown_key_rejected(self, tmp_path):
         doc = disparity_audit_config(tmp_path, seed=10, n=900).to_json()
         doc["restarts"] = 100

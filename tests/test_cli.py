@@ -84,9 +84,10 @@ class TestSynth:
 
 
 class TestOfs:
-    def test_outputs(self, workdir):
+    def test_outputs(self, workdir, capsys):
         flags, out = io_flags(workdir, "ofs_out")
         assert main(["ofs", *flags, "--seed", "3", *FAST_FLAGS]) == 0
+        assert "uncertified" not in capsys.readouterr().out
         curve = (out / "ofs_curve.csv").read_text().strip().splitlines()
         assert curve[0] == "k,cv_auc_mean,cv_auc_sd"
         assert len(curve) == 4  # header + k = 1..3
@@ -167,6 +168,22 @@ class TestAudit:
         flags, _ = io_flags(workdir, "audit_bad_out")
         assert main(["audit", *flags, "--config", str(cfg_file)]) == 2
         assert "'restarts'" in capsys.readouterr().err
+
+    def test_mistyped_config_value_is_data_error(self, workdir, capsys):
+        cfg_file = workdir["root"] / "audit_typed_cfg.json"
+        cfg_file.write_text(json.dumps({"k_max": "3"}))
+        flags, _ = io_flags(workdir, "audit_typed_out")
+        assert main(["audit", *flags, "--config", str(cfg_file)]) == 2
+        assert "k_max" in capsys.readouterr().err
+
+    def test_summary_names_uncertified_sizes(self, workdir, capsys):
+        flags, out = io_flags(workdir, "audit_starved")
+        argv = ["audit", *flags, "--seed", "7", *FAST_FLAGS, *FAST_TREE_FLAGS, "--budget", "1"]
+        assert main(argv) == 0
+        entries = json.loads((out / "report.json").read_text())["subset_path"]["entries"]
+        uncertified = [e["k"] for e in entries if not e["certified"]]
+        assert uncertified
+        assert f"uncertified_k={uncertified}" in capsys.readouterr().out
 
     def test_report_rendering(self, workdir, capsys):
         flags, out = io_flags(workdir, "audit_render")

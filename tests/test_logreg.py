@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from strikeaudit.logreg import (
 )
 
 from conftest import random_binary_matrix
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, reference_newton_fit
 
 
 def zero_model(support=(), ridge=0.0):
@@ -185,6 +186,38 @@ class TestFit:
         m = random_binary_matrix(7, 128, 3)
         model = fit(m, (0,))
         assert model.ridge == pytest.approx(1.0 / 128)
+
+    def test_bitwise_equal_to_reference_newton(self):
+        # 216 instances: every combination of ridge, max_iterations, warm
+        # start and separable labels, six draws each, one of them with an
+        # empty support; traces recorded on every other instance.
+        grid = itertools.product(
+            (0.0, None, 0.5), (1, 2, 100), (False, True), (False, True), range(6)
+        )
+        for case, (ridge, max_iter, warm, separable, draw) in enumerate(grid):
+            rng = np.random.default_rng(case)
+            n, p = int(rng.integers(15, 120)), int(rng.integers(1, 7))
+            x = (rng.random((n, p)) < 0.5).astype(float)
+            y = (rng.random(n) < 0.4).astype(int)
+            if separable:
+                y = x[:, 0].astype(int)
+            if not 0 < y.sum() < n:
+                y[:2] = (0, 1)
+            m = FeatureMatrix(x=x, columns=tuple(f"f{j}" for j in range(p)), y=y)
+            size = 0 if draw == 0 else int(rng.integers(1, p + 1))
+            support = tuple(sorted(rng.choice(p, size, replace=False).tolist()))
+            init = rng.normal(0.0, 2.0, size + 1) if warm else None
+            settings = FitSettings(ridge=ridge, max_iterations=max_iter)
+            record = case % 2 == 0
+            model = fit(m, support, settings, init=init, record_trace=record)
+            theta, final, iters, converged, gmax, trace = reference_newton_fit(
+                m, support, settings, init=init, record_trace=record
+            )
+            d = model.diagnostics
+            got = np.concatenate([[model.intercept], model.beta])
+            assert got.tobytes() == theta.tobytes(), case
+            assert (d.final_nll, d.iterations, d.converged) == (final, iters, converged), case
+            assert d.max_abs_gradient == gmax and d.trace == trace, case
 
     def test_bad_support_rejected(self):
         m = random_binary_matrix(8, 30, 3)

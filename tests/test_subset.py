@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from strikeaudit import logreg
-from strikeaudit.dataset import split
+from strikeaudit.dataset import FeatureMatrix, split
 from strikeaudit.errors import StratificationError
-from strikeaudit.logreg import FitSettings
+from strikeaudit.logreg import FitDiagnostics, FitSettings
 from strikeaudit.subset import (
     backward_stepwise,
     best_subset,
@@ -16,6 +18,35 @@ from strikeaudit.subset import (
 
 from conftest import random_binary_matrix
 from oracles import enumerate_best_subset
+
+
+def proxy_matrix():
+    """y depends on a and b; c is a noisy copy of (a or b), so greedy forward
+    selection takes c first and ends at {a, c} or {b, c}, while the best pair
+    is {a, b}."""
+    rng = np.random.default_rng(1)
+    x = (rng.random((200, 3)) < 0.5).astype(float)
+    x[:, 2] = np.maximum(x[:, 0], x[:, 1])
+    flip = rng.random(200) < 0.05
+    x[flip, 2] = 1.0 - x[flip, 2]
+    y = (rng.random(200) < 1.0 / (1.0 + np.exp(3.0 - 3.0 * x[:, 0] - 3.0 * x[:, 1]))).astype(int)
+    return FeatureMatrix(x=x, columns=("a", "b", "c"), y=y)
+
+
+def report_unconverged(monkeypatch, which, final_nll=None):
+    """Make logreg.fit report every fit whose support satisfies ``which`` as
+    unconverged, optionally with another objective."""
+    real_fit = logreg.fit
+
+    def fit(m, support, *args, **kwargs):
+        model = real_fit(m, support, *args, **kwargs)
+        if which(tuple(support)):
+            d = model.diagnostics
+            value = d.final_nll if final_nll is None else final_nll
+            model.diagnostics = FitDiagnostics(value, d.iterations, False, d.max_abs_gradient)
+        return model
+
+    monkeypatch.setattr(logreg, "fit", fit)
 
 
 class TestBestSubset:
@@ -74,6 +105,43 @@ class TestBestSubset:
         assert len(res.support) <= 4
         assert np.isfinite(res.objective)
 
+    def test_ridge_zero_certificate_is_sound(self):
+        # Tiny samples without ridge are often separable on some support:
+        # the separated fit never converges and its objective overstates the
+        # infimum, so neither a prune nor a winner may rest on it.
+        settings = FitSettings(ridge=0.0)
+        certified = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed + 500)
+            p = int(rng.integers(3, 7))
+            sig = {int(j): float(rng.normal(0, 15.0)) for j in rng.choice(p, 2, replace=False)}
+            m = random_binary_matrix(seed + 500, int(rng.integers(15, 41)), p, signal=sig)
+            res = best_subset(m, p - 1, settings)
+            if not res.certified_optimal:
+                continue
+            certified += 1
+            assert res.model.diagnostics.converged, seed
+            _, expected = enumerate_best_subset(m, p - 1, settings)
+            assert res.objective <= expected + 1e-6, seed
+        assert certified >= 5
+
+    def test_unconverged_bound_fit_never_prunes(self, monkeypatch):
+        # Only the bound fits have more than k = 2 columns. Pruning on their
+        # (here infinite) objective would return the forward incumbent.
+        m = proxy_matrix()
+        report_unconverged(monkeypatch, lambda support: len(support) > 2, math.inf)
+        res = best_subset(m, 2)
+        assert res.support == (0, 1)
+        assert res.certified_optimal
+
+    def test_unconverged_losing_leaf_is_not_certified(self, monkeypatch):
+        m = proxy_matrix()
+        report_unconverged(monkeypatch, lambda support: support == (1, 2))
+        res = best_subset(m, 2)
+        assert res.support == (0, 1)
+        assert res.model.diagnostics.converged
+        assert not res.certified_optimal
+
     def test_deterministic(self):
         m = random_binary_matrix(11, 300, 9, signal={2: 1.2})
         a = best_subset(m, 3)
@@ -119,12 +187,14 @@ class TestSubsetPath:
         b = path_to_json(subset_path(train, test, 4, 3, seed=5))
         assert a == b
 
-    def test_threads_do_not_change_result(self):
+    def test_certified_entries(self):
         m = planted_path_matrix(4)
         train, test = split(m, 0.7, 0)
-        serial = path_to_json(subset_path(train, test, 4, 3, seed=6))
-        threaded = path_to_json(subset_path(train, test, 4, 3, seed=6, threads=3))
-        assert serial == threaded
+        exact = path_to_json(subset_path(train, test, 4, 3, seed=6))
+        assert [e["certified"] for e in exact["entries"]] == [True] * 4
+        # One node settles k = 1 (the root lists every singleton), not more.
+        starved = path_to_json(subset_path(train, test, 4, 3, seed=6, budget=1))
+        assert [e["certified"] for e in starved["entries"]] == [True, False, False, False]
 
     def test_k_max_validated(self):
         m = planted_path_matrix(5)
