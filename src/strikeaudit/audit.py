@@ -7,7 +7,7 @@ import hashlib
 import json
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from .dataset import (
     RACE_FEATURE_NAMES,
     FeatureMatrix,
     JurorTable,
+    answer_matrix,
     build_matrix,
     filter_eligible,
     load_csv,
@@ -49,37 +50,11 @@ class DisparityFinding:
     reason: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "leaf": self.leaf,
-            "path": list(self.path),
-            "n_black": self.n_black,
-            "struck_black": self.struck_black,
-            "n_nonblack": self.n_nonblack,
-            "struck_nonblack": self.struck_nonblack,
-            "rate_black": self.rate_black,
-            "rate_nonblack": self.rate_nonblack,
-            "p_raw": self.p_raw,
-            "p_adjusted": self.p_adjusted,
-            "significant": self.significant,
-            "skipped": self.skipped,
-            "reason": self.reason,
-        }
+        return {**asdict(self), "path": list(self.path)}
 
-
-def _table_matrix(table: JurorTable, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows aligned to the given column names (missing answers count as no),
-    plus race and struck flags."""
-    n = len(table.records)
-    x = np.zeros((n, len(columns)))
-    is_black = np.zeros(n, dtype=bool)
-    struck = np.zeros(n, dtype=bool)
-    for i, record in enumerate(table.records):
-        for j, name in enumerate(columns):
-            if record.answers.get(name):
-                x[i, j] = 1.0
-        is_black[i] = record.is_black
-        struck[i] = record.struck_by_state
-    return x, is_black, struck
+    @classmethod
+    def from_json(cls, obj: dict) -> "DisparityFinding":
+        return cls(**{**obj, "path": tuple(obj["path"])})
 
 
 def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> list[DisparityFinding]:
@@ -89,8 +64,8 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
     """
     if any(c in RACE_FEATURE_NAMES for c in tree.columns):
         raise StrikeAuditError("disparity testing requires a race-free tree")
-    x, is_black, struck = _table_matrix(table, tree.columns)
-    routed = tree_mod.predict_leaves(tree, x) if len(table.records) else np.empty(0, dtype=int)
+    x, is_black, struck, _ = answer_matrix(table, tree.columns)
+    routed = tree_mod.predict_leaves(tree, x)
     findings: list[DisparityFinding] = []
     testable: list[int] = []
     raw: list[float] = []
@@ -154,17 +129,16 @@ def ablation_auc(
     if not train.race_columns or not test.race_columns:
         raise ValueError("ablation requires race columns in both matrices")
     full = subset.subset_path(train, test, k_max, folds, seed, settings, budget)
-    train_nr = train.without_race()
-    ablated = subset.subset_path(
-        train_nr,
-        test.without_race(),
-        min(k_max, train_nr.p),
-        folds,
-        seed,
-        settings,
-        budget,
-    )
+    ablated = _ablated_path(train, test, k_max, folds, seed, settings, budget)
     return full.test_auc, ablated.test_auc
+
+
+def _ablated_path(train, test, k_max, folds, seed, settings, budget) -> SubsetPath:
+    """The subset path with the race columns removed, same folds and seed."""
+    train_nr = train.without_race()
+    return subset.subset_path(
+        train_nr, test.without_race(), min(k_max, train_nr.p), folds, seed, settings, budget,
+    )
 
 
 @dataclass
@@ -250,6 +224,11 @@ class AuditConfig:
             raise StrikeAuditError(
                 f"unknown audit config key(s): {', '.join(map(repr, unknown))}"
             )
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+        if required:
+            raise StrikeAuditError(
+                f"audit config is missing required key(s): {', '.join(map(repr, required))}"
+            )
         return cls(**obj)
 
 
@@ -276,11 +255,7 @@ class AuditReport:
             "dropped_columns": list(self.dropped_columns),
             "subset_path": subset.path_to_json(self.path),
             "chosen_model": logreg.model_to_json(self.path.chosen_model, self.path.columns),
-            "importance": {
-                "ks": list(self.importance.ks),
-                "columns": list(self.importance.columns),
-                "values": [[float(v) for v in row] for row in self.importance.values],
-            },
+            "importance": self.importance.to_json(),
             "ablation": {"auc_full": self.auc_full, "auc_ablated": self.auc_ablated},
             "tree": {"alpha": self.tree_alpha, **tree_mod.tree_to_json(self.tree)},
             "findings": [f.to_json() for f in self.findings],
@@ -324,15 +299,12 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
     with _stage("ablation"):
         # subset_path on the full columns is deterministic, so the full-model
         # AUC is the one already computed above; only the ablated run is new.
-        train_nr = train.without_race()
-        ablated = subset.subset_path(
-            train_nr, test.without_race(), min(k_max, train_nr.p), cfg.folds,
-            cfg.seed, fit_settings, cfg.node_budget,
+        ablated = _ablated_path(
+            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget,
         )
-        auc_full, auc_ablated = path.test_auc, ablated.test_auc
     with _stage("tree"):
         alpha, fitted = tree_mod.tune_alpha(
-            train_nr, cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),
+            train.without_race(), cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),
         )
     with _stage("disparity"):
         findings = leaf_disparity(fitted, eligible, cfg.alpha_level)
@@ -341,8 +313,8 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         dataset_digest=digest,
         path=path,
         importance=importance,
-        auc_full=auc_full,
-        auc_ablated=auc_ablated,
+        auc_full=path.test_auc,
+        auc_ablated=ablated.test_auc,
         tree_alpha=alpha,
         tree=fitted,
         findings=findings,
@@ -350,43 +322,53 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
     )
 
 
-def findings_csv(findings) -> str:
+def findings_csv(findings: list[dict]) -> str:
+    """DisparityFinding.to_json documents, one row per leaf."""
     header = (
         "leaf,path,n_black,struck_black,n_nonblack,struck_nonblack,"
         "rate_black,rate_nonblack,p_raw,p_adjusted,significant,skipped,reason"
     )
     lines = [header]
     for f in findings:
-        path = " & ".join(f.path)
+        path = " & ".join(f["path"])
         cells = [
-            str(f.leaf),
+            str(f["leaf"]),
             f'"{path}"',
-            str(f.n_black),
-            str(f.struck_black),
-            str(f.n_nonblack),
-            str(f.struck_nonblack),
-            "" if f.rate_black is None else repr(f.rate_black),
-            "" if f.rate_nonblack is None else repr(f.rate_nonblack),
-            "" if f.p_raw is None else repr(f.p_raw),
-            "" if f.p_adjusted is None else repr(f.p_adjusted),
-            str(int(f.significant)),
-            str(int(f.skipped)),
-            f.reason or "",
+            *(str(f[key]) for key in ("n_black", "struck_black", "n_nonblack", "struck_nonblack")),
+            *("" if f[key] is None else repr(f[key])
+              for key in ("rate_black", "rate_nonblack", "p_raw", "p_adjusted")),
+            str(int(f["significant"])),
+            str(int(f["skipped"])),
+            f["reason"] or "",
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def write_outputs(report: AuditReport, outdir) -> None:
-    """Emit report.json plus the fixed-name plot data files."""
+def json_text(obj) -> str:
+    """The one JSON layout of every file written: sorted keys, 2-space indent."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def report_files(doc: dict) -> dict[str, str]:
+    """The plot data files derived from a report.json document, by name."""
+    return {
+        "ofs_curve.csv": subset.curve_csv(doc["subset_path"]),
+        "importance.csv": subset.importance_csv(doc["importance"]),
+        "tree.json": json_text({k: v for k, v in doc["tree"].items() if k != "alpha"}),
+        "disparity.csv": findings_csv(doc["findings"]),
+    }
+
+
+def write_files(outdir, files: dict[str, str]) -> None:
+    """Write each named text into outdir, creating it if needed."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-    )
-    (out / "ofs_curve.csv").write_text(subset.curve_csv(report.path))
-    (out / "importance.csv").write_text(report.importance.to_csv())
-    (out / "tree.json").write_text(
-        json.dumps(tree_mod.tree_to_json(report.tree), indent=2, sort_keys=True) + "\n"
-    )
-    (out / "disparity.csv").write_text(findings_csv(report.findings))
+    for name, text in files.items():
+        (out / name).write_text(text)
+
+
+def write_outputs(report: AuditReport, outdir) -> None:
+    """Emit report.json plus the fixed-name files rendered from it."""
+    doc = report.to_json()
+    write_files(outdir, {"report.json": json_text(doc), **report_files(doc)})

@@ -7,16 +7,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import audit as audit_mod
 from . import dataset, logreg, subset, tree as tree_mod
+from .audit import json_text, write_files
 from .errors import StrikeAuditError
-from .logreg import FitSettings
-from .tree import TreeSettings
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
+
+# AuditConfig's defaults by field name; each setting flag's dest is one of them.
+_DEFAULTS = {
+    f.name: f.default for f in fields(audit_mod.AuditConfig) if f.default is not MISSING
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,46 +43,67 @@ def _load_catalog(path) -> tuple[str, ...]:
     return tuple(obj)
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _setting(sub, flag: str, help: str, dest: str | None = None, **kwargs) -> None:
+    """A flag that sets the AuditConfig field ``dest`` (by default the flag's
+    own name). Without a default, args holds only the flags given on the
+    command line, so _config can layer them over a config file."""
+    dest = dest or flag[2:].replace("-", "_")
+    default = _DEFAULTS[dest]
+    if default is not None:
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        help = f"{help} (default {shown})"
+    sub.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=help, **kwargs)
+
+
+def _add_io(sub):
+    sub.add_argument("--input", required=True, help="juror CSV file")
+    sub.add_argument("--catalog", required=True, help="JSON array of feature names")
+    sub.add_argument("--out", default="out", help="output directory (default out/)")
 
 
 def _add_common(sub):
-    sub.add_argument("--input", required=True, help="juror CSV file")
-    sub.add_argument("--catalog", required=True, help="JSON array of feature names")
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sub.add_argument("--out", default="out", help="output directory (default out/)")
-    sub.add_argument(
-        "--missing-policy", choices=dataset.MISSING_POLICIES, default="as_no",
-        help="how to encode missing voir dire answers (default as_no)",
-    )
+    _add_io(sub)
+    _setting(sub, "--seed", "random seed", type=int)
+    _setting(sub, "--missing-policy", "how to encode missing voir dire answers",
+             choices=dataset.MISSING_POLICIES)
 
 
 def _add_ofs_flags(sub):
-    sub.add_argument("--train-fraction", type=float, default=0.7,
-                     help="training share of the stratified split (default 0.7)")
-    sub.add_argument("--k-max", type=int, default=20,
-                     help="largest subset size to consider (default 20)")
-    sub.add_argument("--folds", type=int, default=5,
-                     help="cross-validation folds (default 5)")
-    sub.add_argument("--ridge", type=float, default=None,
-                     help="ridge strength; default 1/n")
-    sub.add_argument("--budget", type=int, default=subset.DEFAULT_NODE_BUDGET,
-                     help="branch-and-bound node budget")
+    _setting(sub, "--train-fraction", "training share of the stratified split", type=float)
+    _setting(sub, "--k-max", "largest subset size to consider", type=int)
+    _setting(sub, "--folds", "cross-validation folds", type=int)
+    _setting(sub, "--ridge", "ridge strength; default 1/n", type=float)
+    _setting(sub, "--budget", "branch-and-bound node budget", dest="node_budget", type=int,
+             metavar="BUDGET")
 
 
 def _add_tree_flags(sub):
-    sub.add_argument("--max-depth", type=int, default=4, help="tree depth cap (default 4)")
-    sub.add_argument("--min-leaf", type=int, default=10, help="minimum rows per leaf (default 10)")
-    sub.add_argument("--alpha-grid", type=lambda s: tuple(float(a) for a in s.split(",")),
-                     default=(0.001, 0.01, 0.1),
-                     help="comma-separated complexity penalties to tune over")
+    _setting(sub, "--max-depth", "tree depth cap", type=int)
+    _setting(sub, "--min-leaf", "minimum rows per leaf", type=int)
+    _setting(sub, "--alpha-grid", "comma-separated complexity penalties to tune over",
+             type=_floats)
 
 
-def _prepared_matrix(args):
-    table = dataset.load_csv(args.input, _load_catalog(args.catalog))
-    eligible = dataset.filter_eligible(table)
-    return eligible, dataset.build_matrix(eligible, args.missing_policy)
+def _config(args, settings=None) -> audit_mod.AuditConfig:
+    """The settings of a command: the flags given on the command line, over
+    ``settings`` (a config file's object), over AuditConfig's defaults.
+    AuditConfig checks every value, so a bad one is a data error."""
+    given = {name: value for name, value in vars(args).items() if name in _DEFAULTS}
+    return audit_mod.AuditConfig.from_json({
+        **(settings or {}),
+        **given,
+        "input_path": args.input,
+        "catalog": _load_catalog(args.catalog),
+    })
+
+
+def _matrix(cfg: audit_mod.AuditConfig) -> dataset.FeatureMatrix:
+    table = dataset.filter_eligible(dataset.load_csv(cfg.input_path, cfg.catalog))
+    return dataset.build_matrix(table, cfg.missing_policy)
 
 
 def _cmd_synth(args) -> int:
@@ -87,7 +113,7 @@ def _cmd_synth(args) -> int:
     table = dataset.synth_generate(cfg, args.seed)
     dataset.write_csv(table, args.out)
     if args.catalog_out:
-        _write_json(args.catalog_out, list(table.feature_catalog))
+        Path(args.catalog_out).write_text(json_text(list(table.feature_catalog)))
     print(f"wrote {len(table)} synthetic jurors to {args.out}")
     return 0
 
@@ -98,108 +124,94 @@ def _uncertified(path: subset.SubsetPath) -> str:
     return f" uncertified_k={ks}" if ks else ""
 
 
-def _cmd_ofs(args) -> int:
-    _, m = _prepared_matrix(args)
-    train, test = dataset.split(m, args.train_fraction, args.seed)
-    settings = FitSettings(ridge=args.ridge)
-    path = subset.subset_path(
-        train, test, min(args.k_max, train.p), args.folds, args.seed, settings, args.budget,
+def _finding_line(f: audit_mod.DisparityFinding) -> str:
+    where = " & ".join(f.path) or "(root)"
+    if f.skipped:
+        return f"leaf {f.leaf} [{where}]: skipped ({f.reason})"
+    return (
+        f"leaf {f.leaf} [{where}]: black {f.struck_black}/{f.n_black} vs "
+        f"non-black {f.struck_nonblack}/{f.n_nonblack}, "
+        f"p={f.p_raw:.4g} adj={f.p_adjusted:.4g}"
+        + (" SIGNIFICANT" if f.significant else "")
     )
-    profile = subset.importance_profile(path)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "subset_path.json", subset.path_to_json(path))
-    (out / "ofs_curve.csv").write_text(subset.curve_csv(path))
-    (out / "importance.csv").write_text(profile.to_csv())
+
+
+def _cmd_ofs(args) -> int:
+    cfg = _config(args)
+    train, test = dataset.split(_matrix(cfg), cfg.train_fraction, cfg.seed)
+    path = subset.subset_path(
+        train, test, min(cfg.k_max, train.p), cfg.folds, cfg.seed, cfg.fit_settings(),
+        cfg.node_budget,
+    )
+    path_doc = subset.path_to_json(path)
+    write_files(args.out, {
+        "subset_path.json": json_text(path_doc),
+        "ofs_curve.csv": subset.curve_csv(path_doc),
+        "importance.csv": subset.importance_csv(subset.importance_profile(path).to_json()),
+    })
     print(f"chosen_k={path.chosen_k} test_auc={path.test_auc:.4f}{_uncertified(path)}")
     return 0
 
 
 def _cmd_stepwise(args) -> int:
-    _, m = _prepared_matrix(args)
+    m = _matrix(_config(args))
     model = subset.backward_stepwise(m, thresholds=args.thresholds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "stepwise.json", logreg.model_to_json(model, m.columns))
+    write_files(args.out, {"stepwise.json": json_text(logreg.model_to_json(model, m.columns))})
     survivors = [m.columns[j] for j in model.support]
     print("surviving features: " + (", ".join(survivors) if survivors else "(none)"))
     return 0
 
 
 def _cmd_tree(args) -> int:
-    _, m = _prepared_matrix(args)
-    settings = TreeSettings(max_depth=args.max_depth, min_leaf=args.min_leaf)
+    cfg = _config(args)
     alpha, fitted = tree_mod.tune_alpha(
-        m.without_race(), args.alpha_grid, args.folds, args.seed, settings,
+        _matrix(cfg).without_race(), cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "tree.json", tree_mod.tree_to_json(fitted))
-    _write_json(out / "tree_graph.json", tree_mod.tree_to_graph(fitted))
-    (out / "tree.txt").write_text(tree_mod.tree_to_text(fitted))
+    text = tree_mod.tree_to_text(fitted)
+    write_files(args.out, {
+        "tree.json": json_text(tree_mod.tree_to_json(fitted)),
+        "tree_graph.json": json_text(tree_mod.tree_to_graph(fitted)),
+        "tree.txt": text,
+    })
     print(f"alpha={alpha} leaves={fitted.n_leaves()} depth={fitted.depth}")
-    print(tree_mod.tree_to_text(fitted), end="")
+    print(text, end="")
     return 0
 
 
 def _cmd_disparity(args) -> int:
-    table = dataset.load_csv(args.input, _load_catalog(args.catalog))
-    eligible = dataset.filter_eligible(table)
+    cfg = _config(args)
+    eligible = dataset.filter_eligible(dataset.load_csv(cfg.input_path, cfg.catalog))
     fitted = tree_mod.tree_from_json(json.loads(Path(args.tree).read_text()))
-    findings = audit_mod.leaf_disparity(fitted, eligible, args.alpha_level)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "disparity.csv").write_text(audit_mod.findings_csv(findings))
-    _write_json(out / "disparity.json", [f.to_json() for f in findings])
+    findings = audit_mod.leaf_disparity(fitted, eligible, cfg.alpha_level)
+    docs = [f.to_json() for f in findings]
+    write_files(args.out, {
+        "disparity.csv": audit_mod.findings_csv(docs),
+        "disparity.json": json_text(docs),
+    })
     for f in findings:
-        where = " & ".join(f.path) or "(root)"
-        if f.skipped:
-            print(f"leaf {f.leaf} [{where}]: skipped ({f.reason})")
-        else:
-            print(
-                f"leaf {f.leaf} [{where}]: black {f.struck_black}/{f.n_black} vs "
-                f"non-black {f.struck_nonblack}/{f.n_nonblack}, "
-                f"p={f.p_raw:.4g} adj={f.p_adjusted:.4g}"
-                + (" SIGNIFICANT" if f.significant else "")
-            )
+        print(_finding_line(f))
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    _, m = _prepared_matrix(args)
-    train, test = dataset.split(m, args.train_fraction, args.seed)
+    cfg = _config(args)
+    train, test = dataset.split(_matrix(cfg), cfg.train_fraction, cfg.seed)
     auc_full, auc_ablated = audit_mod.ablation_auc(
-        train, test, min(args.k_max, train.p), args.folds, args.seed,
-        FitSettings(ridge=args.ridge), args.budget,
+        train, test, min(cfg.k_max, train.p), cfg.folds, cfg.seed, cfg.fit_settings(),
+        cfg.node_budget,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "ablation.json", {"auc_full": auc_full, "auc_ablated": auc_ablated})
+    write_files(args.out, {
+        "ablation.json": json_text({"auc_full": auc_full, "auc_ablated": auc_ablated}),
+    })
     print(f"auc_full={auc_full:.4f} auc_ablated={auc_ablated:.4f}")
     return 0
 
 
-# Flags of the audit subcommand that set an AuditConfig field (--budget sets
-# node_budget; the others share the field's name).
-_AUDIT_FLAGS = (
-    "seed", "missing_policy", "train_fraction", "k_max", "folds", "ridge", "budget",
-    "max_depth", "min_leaf", "alpha_grid", "alpha_level",
-)
-
-
 def _cmd_audit(args) -> int:
-    # args holds only the config flags given on the command line: they
-    # override the config file, which overrides AuditConfig's defaults.
     settings = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(settings, dict):
         raise StrikeAuditError(f"config file {args.config} must hold a JSON object")
-    for dest in _AUDIT_FLAGS:
-        if hasattr(args, dest):
-            settings["node_budget" if dest == "budget" else dest] = getattr(args, dest)
-    settings["input_path"] = args.input
-    settings["catalog"] = _load_catalog(args.catalog)
-    cfg = audit_mod.AuditConfig.from_json(settings)
-    report = audit_mod.run_audit(cfg)
+    report = audit_mod.run_audit(_config(args, settings))
     audit_mod.write_outputs(report, args.out)
     flagged = [f.leaf for f in report.findings if f.significant]
     print(f"report written to {Path(args.out) / 'report.json'}")
@@ -212,53 +224,20 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    obj = json.loads(Path(args.report).read_text())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = obj["subset_path"]["entries"]
-    lines = ["k,cv_auc_mean,cv_auc_sd"]
-    lines += [f'{e["k"]},{e["cv_auc_mean"]!r},{e["cv_auc_sd"]!r}' for e in entries]
-    (out / "ofs_curve.csv").write_text("\n".join(lines) + "\n")
-    imp = obj["importance"]
-    lines = ["k," + ",".join(imp["columns"])]
-    for k, row in zip(imp["ks"], imp["values"]):
-        lines.append(str(k) + "," + ",".join(repr(float(v)) for v in row))
-    (out / "importance.csv").write_text("\n".join(lines) + "\n")
-    fitted = tree_mod.tree_from_json(obj["tree"])
-    _write_json(out / "tree.json", tree_mod.tree_to_json(fitted))
-    findings = [
-        audit_mod.DisparityFinding(
-            leaf=f["leaf"], path=tuple(f["path"]), n_black=f["n_black"],
-            struck_black=f["struck_black"], n_nonblack=f["n_nonblack"],
-            struck_nonblack=f["struck_nonblack"], rate_black=f["rate_black"],
-            rate_nonblack=f["rate_nonblack"], p_raw=f["p_raw"],
-            p_adjusted=f["p_adjusted"], significant=f["significant"],
-            skipped=f["skipped"], reason=f["reason"],
-        )
-        for f in obj["findings"]
-    ]
-    (out / "disparity.csv").write_text(audit_mod.findings_csv(findings))
-    print(f"model AUC (test): {obj['subset_path']['test_auc']:.4f}")
-    print(f"ablated AUC:      {obj['ablation']['auc_ablated']:.4f}")
+    doc = json.loads(Path(args.report).read_text())
+    write_files(args.out, audit_mod.report_files(doc))
+    print(f"model AUC (test): {doc['subset_path']['test_auc']:.4f}")
+    print(f"ablated AUC:      {doc['ablation']['auc_ablated']:.4f}")
     print("chosen model:")
-    model = obj["chosen_model"]
+    model = doc["chosen_model"]
     for name, beta in zip(model["support"], model["beta"]):
         print(f"  {name:24s} {beta:+.5f}")
     print(f"  {'intercept':24s} {model['intercept']:+.5f}")
     print("tree:")
-    print(tree_mod.tree_to_text(fitted), end="")
+    print(tree_mod.tree_to_text(tree_mod.tree_from_json(doc["tree"])), end="")
     print("findings:")
-    for f in findings:
-        where = " & ".join(f.path) or "(root)"
-        if f.skipped:
-            print(f"  leaf {f.leaf} [{where}]: skipped ({f.reason})")
-        else:
-            mark = " SIGNIFICANT" if f.significant else ""
-            print(
-                f"  leaf {f.leaf} [{where}]: black rate "
-                f"{f.rate_black:.2f} vs non-black {f.rate_nonblack:.2f} "
-                f"(adj p={f.p_adjusted:.4g}){mark}"
-            )
+    for f in doc["findings"]:
+        print("  " + _finding_line(audit_mod.DisparityFinding.from_json(f)))
     return 0
 
 
@@ -282,25 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     stepwise = commands.add_parser("stepwise", help="backward stepwise baseline")
     _add_common(stepwise)
-    stepwise.add_argument(
-        "--thresholds", type=lambda s: tuple(float(t) for t in s.split(",")),
-        default=(0.1, 0.05), help="p-value thresholds per pass (default 0.1,0.05)",
-    )
+    stepwise.add_argument("--thresholds", type=_floats, default=(0.1, 0.05),
+                          help="p-value thresholds per pass (default 0.1,0.05)")
     stepwise.set_defaults(func=_cmd_stepwise)
 
     tree_cmd = commands.add_parser("tree", help="fit the segmentation tree (race excluded)")
     _add_common(tree_cmd)
     _add_tree_flags(tree_cmd)
-    tree_cmd.add_argument("--folds", type=int, default=5,
-                          help="cross-validation folds for alpha tuning (default 5)")
+    _setting(tree_cmd, "--folds", "cross-validation folds for alpha tuning", type=int)
     tree_cmd.set_defaults(func=_cmd_tree)
 
     disparity = commands.add_parser("disparity", help="per-leaf disparity tests for a saved tree")
-    disparity.add_argument("--input", required=True)
-    disparity.add_argument("--catalog", required=True)
+    _add_io(disparity)
     disparity.add_argument("--tree", required=True, help="tree.json from the tree subcommand")
-    disparity.add_argument("--alpha-level", type=float, default=0.05)
-    disparity.add_argument("--out", default="out")
+    _setting(disparity, "--alpha-level", "significance level for Holm-adjusted p-values",
+             type=float)
     disparity.set_defaults(func=_cmd_disparity)
 
     ablate = commands.add_parser("ablate", help="test AUC with and without race features")
@@ -312,14 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(audit_cmd)
     _add_ofs_flags(audit_cmd)
     _add_tree_flags(audit_cmd)
-    audit_cmd.add_argument("--alpha-level", type=float, default=0.05)
+    _setting(audit_cmd, "--alpha-level", "significance level for Holm-adjusted p-values",
+             type=float)
     audit_cmd.add_argument("--config", default=None,
                            help="JSON config; flags take precedence")
-    # Without defaults, args holds only the config flags given on the command
-    # line (set_defaults would put SUPPRESS into args as a value).
-    for action in audit_cmd._actions:
-        if action.dest in _AUDIT_FLAGS:
-            action.default = argparse.SUPPRESS
     audit_cmd.set_defaults(func=_cmd_audit)
 
     report = commands.add_parser("report", help="render a report.json to tables and CSVs")

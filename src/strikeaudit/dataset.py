@@ -191,6 +191,25 @@ class FeatureMatrix:
         return self.without_columns(self.race_columns)
 
 
+def answer_matrix(table: JurorTable, columns) -> tuple[np.ndarray, ...]:
+    """The named answers of every record as a 0/1 matrix (a missing answer
+    counts as no), with the is_black, struck and complete-row flags, where a
+    complete row answers every named column."""
+    unknown = [c for c in columns if c not in table.feature_catalog]
+    if unknown:
+        raise SchemaError(f"columns not in the feature catalog: {unknown}")
+    records = table.records
+    # float() of an answer, with None (missing) as nan until it is zeroed.
+    x = np.array(
+        [[r.answers.get(name) for name in columns] for r in records], dtype=float
+    ).reshape(len(records), len(columns))
+    missing = np.isnan(x)
+    x[missing] = 0.0
+    is_black = np.array([r.is_black for r in records], dtype=bool)
+    struck = np.array([r.struck_by_state for r in records], dtype=bool)
+    return x, is_black, struck, ~missing.any(axis=1)
+
+
 def build_matrix(table: JurorTable, missing_policy: str = "as_no") -> FeatureMatrix:
     """Encode a table as a binary matrix; is_black becomes the first column.
 
@@ -202,18 +221,13 @@ def build_matrix(table: JurorTable, missing_policy: str = "as_no") -> FeatureMat
     if not table.records:
         raise DegenerateDataError("cannot build a matrix from an empty table")
     catalog = table.feature_catalog
-    rows = []
-    targets = []
-    for r in table.records:
-        values = [r.answers.get(name) for name in catalog]
-        if missing_policy == "drop_row" and any(v is None for v in values):
-            continue
-        rows.append([float(r.is_black)] + [0.0 if v is None else float(v) for v in values])
-        targets.append(int(r.struck_by_state))
-    if not rows:
+    answers, is_black, struck, complete = answer_matrix(table, catalog)
+    x = np.column_stack([is_black, answers])
+    y = struck.astype(int)
+    if missing_policy == "drop_row":
+        x, y = x[complete], y[complete]
+    if not y.size:
         raise DegenerateDataError("all rows dropped by drop_row policy")
-    x = np.asarray(rows)
-    y = np.asarray(targets)
     columns = ("is_black", *catalog)
     constant = [j for j in range(x.shape[1]) if np.all(x[:, j] == x[0, j])]
     dropped = tuple(columns[j] for j in constant)

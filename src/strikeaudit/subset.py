@@ -203,25 +203,17 @@ def best_subset(
     return _best_subset_cached(_FitCache(m, settings), k, budget)
 
 
-def _fold_aucs(
-    fold_train: FeatureMatrix,
-    fold_val: FeatureMatrix,
-    k_max: int,
-    settings: FitSettings,
-    budget: int,
-) -> tuple[list[float], list[bool]]:
-    """Validation AUC and certification of the best subset per k."""
-    cache = _FitCache(fold_train, settings)
-    aucs = []
-    certified = []
-    incumbent = None
+def _search_path(
+    m: FeatureMatrix, k_max: int, settings: FitSettings, budget: int
+) -> list[SubsetResult]:
+    """Best subset of each size k = 1..k_max on one matrix; every search
+    starts from the previous size's winner and shares one fit cache."""
+    cache = _FitCache(m, settings)
+    results: list[SubsetResult] = []
     for k in range(1, k_max + 1):
-        res = _best_subset_cached(cache, k, budget, incumbent)
-        incumbent = (frozenset(res.support), res.objective)
-        scores = logreg.predict_proba(res.model, fold_val)
-        aucs.append(stats.auc(scores, fold_val.y))
-        certified.append(res.certified_optimal)
-    return aucs, certified
+        incumbent = (frozenset(results[-1].support), results[-1].objective) if results else None
+        results.append(_best_subset_cached(cache, k, budget, incumbent))
+    return results
 
 
 def subset_path(
@@ -244,45 +236,42 @@ def subset_path(
         raise ValueError(f"k_max must be in [1, {train.p}], got {k_max}")
     if train.columns != test.columns:
         raise ValueError("train and test matrices must share columns")
-    fold_idx = stratified_folds(train.y, folds, seed)
-    per_fold = [
-        _fold_aucs(train.take_rows(tr), train.take_rows(va), k_max, settings, budget)
-        for tr, va in fold_idx
-    ]
-    auc_matrix = np.asarray([aucs for aucs, _ in per_fold])  # folds x k_max
-    folds_certified = [all(c[k] for _, c in per_fold) for k in range(k_max)]
-
-    cache = _FitCache(train, settings)
-    entries = []
-    models = []
-    incumbent = None
-    for k in range(1, k_max + 1):
-        res = _best_subset_cached(cache, k, budget, incumbent)
-        incumbent = (frozenset(res.support), res.objective)
-        entries.append(
-            SubsetPathEntry(
-                k=k,
-                support=res.support,
-                cv_auc_mean=float(auc_matrix[:, k - 1].mean()),
-                cv_auc_sd=float(auc_matrix[:, k - 1].std(ddof=1)),
-                train_nll=res.objective,
-                certified=res.certified_optimal and folds_certified[k - 1],
-            )
+    auc_rows = []
+    folds_certified = np.ones(k_max, dtype=bool)
+    for tr, va in stratified_folds(train.y, folds, seed):
+        val = train.take_rows(va)
+        fold_results = _search_path(train.take_rows(tr), k_max, settings, budget)
+        auc_rows.append(
+            [stats.auc(logreg.predict_proba(r.model, val), val.y) for r in fold_results]
         )
-        models.append(res.model)
+        folds_certified &= [r.certified_optimal for r in fold_results]
+    auc_matrix = np.asarray(auc_rows)  # folds x k_max
+
+    results = _search_path(train, k_max, settings, budget)
+    entries = [
+        SubsetPathEntry(
+            k=res.k,
+            support=res.support,
+            cv_auc_mean=float(aucs.mean()),
+            cv_auc_sd=float(aucs.std(ddof=1)),
+            train_nll=res.objective,
+            certified=res.certified_optimal and bool(fold_ok),
+        )
+        for res, aucs, fold_ok in zip(results, auc_matrix.T, folds_certified)
+    ]
 
     chosen_k = 1
     best_mean = entries[0].cv_auc_mean
     for entry in entries[1:]:
         if entry.cv_auc_mean > best_mean:
             chosen_k, best_mean = entry.k, entry.cv_auc_mean
-    chosen_model = models[chosen_k - 1]
+    chosen_model = results[chosen_k - 1].model
     test_auc = stats.auc(logreg.predict_proba(chosen_model, test), test.y)
     return SubsetPath(
         entries=entries,
         chosen_k=chosen_k,
         test_auc=float(test_auc),
-        models=tuple(models),
+        models=tuple(res.model for res in results),
         chosen_model=chosen_model,
         columns=train.columns,
     )
@@ -314,20 +303,19 @@ class ImportanceProfile:
     columns: tuple[str, ...]
     values: np.ndarray  # len(ks) x len(columns), rows sum to 1 or are zero
 
-    def to_csv(self) -> str:
-        lines = ["k," + ",".join(self.columns)]
-        for k, row in zip(self.ks, self.values):
-            lines.append(str(k) + "," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+    def to_json(self) -> dict:
+        return {
+            "ks": list(self.ks),
+            "columns": list(self.columns),
+            "values": [[float(v) for v in row] for row in self.values],
+        }
 
 
-def importance_profile(path: SubsetPath, models=None) -> ImportanceProfile:
+def importance_profile(path: SubsetPath) -> ImportanceProfile:
     """Importance of feature j at size k: |beta_j| / sum of |beta| over the
     selected support (binary features share a scale). Unselected get 0."""
-    models = path.models if models is None else tuple(models)
-    p = len(path.columns)
-    values = np.zeros((len(path.entries), p))
-    for row, model in enumerate(models):
+    values = np.zeros((len(path.entries), len(path.columns)))
+    for row, model in enumerate(path.models):
         magnitudes = np.abs(model.beta)
         total = float(magnitudes.sum())
         if total > 0:
@@ -357,8 +345,17 @@ def path_to_json(path: SubsetPath) -> dict:
     }
 
 
-def curve_csv(path: SubsetPath) -> str:
+def curve_csv(path_doc: dict) -> str:
+    """The CV curve of a path_to_json document, one row per subset size."""
     lines = ["k,cv_auc_mean,cv_auc_sd"]
-    for e in path.entries:
-        lines.append(f"{e.k},{e.cv_auc_mean!r},{e.cv_auc_sd!r}")
+    for e in path_doc["entries"]:
+        lines.append(f"{e['k']},{e['cv_auc_mean']!r},{e['cv_auc_sd']!r}")
+    return "\n".join(lines) + "\n"
+
+
+def importance_csv(profile_doc: dict) -> str:
+    """An ImportanceProfile.to_json document, one row per subset size."""
+    lines = ["k," + ",".join(profile_doc["columns"])]
+    for k, row in zip(profile_doc["ks"], profile_doc["values"]):
+        lines.append(f"{k}," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strikeaudit.audit import (
     AuditConfig,
+    DisparityFinding,
     ablation_auc,
     findings_csv,
     leaf_disparity,
@@ -19,7 +22,7 @@ from strikeaudit.dataset import (
     synth_generate,
     write_csv,
 )
-from strikeaudit.errors import StageError, StrikeAuditError
+from strikeaudit.errors import SchemaError, StageError, StrikeAuditError
 from strikeaudit.tree import tree_from_json
 
 from oracles import fisher_two_sided_exact
@@ -123,13 +126,60 @@ class TestLeafDisparity:
         ]
         assert remainder.n_black + remainder.n_nonblack == 22
 
+    def test_tree_column_outside_catalog_rejected(self):
+        # Without the check every juror reads know_def = no: the biased leaf
+        # goes untested and its jurors inflate the know_def = no branch.
+        catalog = tuple(c for c in TREE_FEATURES if c != "know_def")
+        records = [replace(r, answers={c: r.answers[c] for c in catalog})
+                   for r in five_leaf_table().records]
+        with pytest.raises(SchemaError, match="know_def"):
+            leaf_disparity(paper_tree(), JurorTable(records=records, feature_catalog=catalog))
+
+    def test_json_round_trip(self):
+        # no non-black juror in the remainder leaf, so its test is skipped
+        records = [r for r in five_leaf_table().records if not r.juror_id.startswith("remaindern")]
+        table = JurorTable(records=records, feature_catalog=TREE_FEATURES)
+        findings = leaf_disparity(paper_tree(), table)
+        assert any(f.skipped for f in findings) and any(f.significant for f in findings)
+        for f in findings:
+            assert DisparityFinding.from_json(json.loads(json.dumps(f.to_json()))) == f
+
     def test_csv_rendering(self):
         table = five_leaf_table()
         findings = leaf_disparity(paper_tree(), table)
-        text = findings_csv(findings)
+        text = findings_csv([f.to_json() for f in findings])
         lines = text.strip().splitlines()
         assert lines[0].startswith("leaf,path,")
         assert len(lines) == 1 + len(findings)
+
+
+class TestDisparityProperties:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 80))
+    @settings(max_examples=50, deadline=None)
+    def test_findings_partition_rows_and_ignore_record_order(self, seed, n):
+        rng = np.random.default_rng(seed)
+        records = [
+            JurorRecord(
+                trial_id="t1", juror_id=f"j{i}", is_black=bool(rng.random() < 0.5),
+                struck_by_state=bool(rng.random() < 0.4), eligible=True,
+                answers={c: (None, False, True)[rng.integers(3)] for c in TREE_FEATURES},
+            )
+            for i in range(n)
+        ]
+        findings = leaf_disparity(paper_tree(), JurorTable(records, TREE_FEATURES))
+        # Each juror is counted in the one leaf whose path it satisfies, with
+        # a missing answer read as no.
+        for f in findings:
+            conditions = [c.split(" = ") for c in f.path]
+            here = [r for r in records
+                    if all(bool(r.answers[name]) == (value == "yes") for name, value in conditions)]
+            black = [r for r in here if r.is_black]
+            assert (f.n_black, f.n_nonblack) == (len(black), len(here) - len(black))
+            assert f.struck_black == sum(r.struck_by_state for r in black)
+            assert f.struck_nonblack == sum(r.struck_by_state for r in here) - f.struck_black
+        assert sum(f.n_black + f.n_nonblack for f in findings) == n
+        shuffled = [records[i] for i in rng.permutation(n)]
+        assert leaf_disparity(paper_tree(), JurorTable(shuffled, TREE_FEATURES)) == findings
 
 
 def race_only_matrix(seed, n=3000, p_noise=5):
@@ -268,6 +318,10 @@ class TestRunAudit:
         doc[key] = value
         with pytest.raises(StrikeAuditError, match=key):
             AuditConfig.from_json(doc)
+
+    def test_config_missing_required_key_rejected(self):
+        with pytest.raises(StrikeAuditError, match="'input_path', 'catalog'"):
+            AuditConfig.from_json({"k_max": 3})
 
     def test_config_unknown_key_rejected(self, tmp_path):
         doc = disparity_audit_config(tmp_path, seed=10, n=900).to_json()

@@ -122,6 +122,21 @@ class TestTreeAndDisparity:
         lines = (dout / "disparity.csv").read_text().strip().splitlines()
         assert len(lines) >= 2
 
+    def test_tree_column_outside_catalog_is_data_error(self, workdir, capsys):
+        flags, out = io_flags(workdir, "tree_know_def")
+        assert main(["tree", *flags, "--seed", "2", *FAST_TREE_FLAGS]) == 0
+        assert '"feature": "know_def"' in (out / "tree.json").read_text()
+        catalog = workdir["root"] / "catalog_without_know_def.json"
+        full = json.loads(workdir["catalog"].read_text())
+        catalog.write_text(json.dumps([c for c in full if c != "know_def"]))
+        capsys.readouterr()
+        code = main([
+            "disparity", "--input", str(workdir["data"]), "--catalog", str(catalog),
+            "--tree", str(out / "tree.json"), "--out", str(workdir["root"] / "disp_bad"),
+        ])
+        assert code == 2
+        assert "know_def" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_outputs(self, workdir):
@@ -189,12 +204,21 @@ class TestAudit:
         flags, out = io_flags(workdir, "audit_render")
         assert main(["audit", *flags, "--seed", "7", *FAST_FLAGS, *FAST_TREE_FLAGS]) == 0
         rendered = workdir["root"] / "rendered"
+        capsys.readouterr()
         assert main(["report", "--report", str(out / "report.json"),
                      "--out", str(rendered)]) == 0
-        captured = capsys.readouterr()
-        assert "model AUC" in captured.out
-        assert "findings:" in captured.out
-        assert (rendered / "disparity.csv").exists()
+        report_out = capsys.readouterr().out
+        assert "model AUC" in report_out
+        for name in ("ofs_curve.csv", "importance.csv", "tree.json", "disparity.csv"):
+            assert (rendered / name).read_bytes() == (out / name).read_bytes(), name
+        # The findings print as the disparity subcommand prints them, indented.
+        assert main(["disparity", "--input", str(workdir["data"]),
+                     "--catalog", str(workdir["catalog"]), "--tree", str(out / "tree.json"),
+                     "--out", str(workdir["root"] / "render_disp")]) == 0
+        disparity_lines = capsys.readouterr().out.splitlines()
+        assert disparity_lines
+        findings = report_out.split("findings:\n", 1)[1].splitlines()
+        assert findings == ["  " + line for line in disparity_lines]
 
 
 class TestExitCodes:
@@ -223,6 +247,15 @@ class TestExitCodes:
             "ofs", "--input", str(workdir["data"]), "--catalog", str(bad),
             "--out", str(out),
         ]) == 2
+
+    @pytest.mark.parametrize("command", ["ofs", "ablate", "audit"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--budget", "0", "node_budget"), ("--k-max", "0", "k_max"), ("--seed", "-1", "seed"),
+    ])
+    def test_bad_setting_is_data_error(self, workdir, capsys, command, flag, value, field):
+        flags, _ = io_flags(workdir, f"bad_{command}")
+        assert main([command, *flags, flag, value]) == 2
+        assert field in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -7,6 +7,7 @@ from strikeaudit.dataset import (
     JurorTable,
     SplitSpec,
     SynthConfig,
+    answer_matrix,
     build_matrix,
     filter_eligible,
     load_csv,
@@ -136,6 +137,30 @@ class TestFilterEligible:
         table = JurorTable(records=records, feature_catalog=("accused",))
         kept = filter_eligible(table).records
         assert [r.juror_id for r in kept] == [f"j{i}" for i in range(0, 8, 2)]
+
+
+class TestAnswerMatrix:
+    def test_named_columns_flags_and_missing_as_no(self):
+        x, is_black, struck, complete = answer_matrix(small_table(), ("medical", "accused"))
+        assert x.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert is_black.tolist() == [True, False, True, False]
+        assert struck.tolist() == [True, False, False, True]
+        assert complete.tolist() == [True, False, True, True]
+
+    def test_unanswered_key_is_missing(self):
+        table = JurorTable(records=[make_record(0, answers={"accused": True})],
+                           feature_catalog=("accused", "know_def"))
+        x, _, _, complete = answer_matrix(table, ("accused", "know_def"))
+        assert x.tolist() == [[1.0, 0.0]]
+        assert complete.tolist() == [False]
+
+    def test_column_outside_catalog_rejected(self):
+        with pytest.raises(SchemaError, match="fam_accused"):
+            answer_matrix(small_table(), ("accused", "fam_accused"))
+
+    def test_empty_table(self):
+        x, is_black, struck, complete = answer_matrix(JurorTable([], CATALOG), CATALOG)
+        assert x.shape == (0, 3) and is_black.size == struck.size == complete.size == 0
 
 
 class TestBuildMatrix:

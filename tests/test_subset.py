@@ -11,6 +11,7 @@ from strikeaudit.subset import (
     backward_stepwise,
     best_subset,
     curve_csv,
+    importance_csv,
     importance_profile,
     path_to_json,
     subset_path,
@@ -214,7 +215,7 @@ class TestSubsetPath:
         m = planted_path_matrix(7)
         train, test = split(m, 0.7, 0)
         path = subset_path(train, test, 3, 3, seed=0)
-        lines = curve_csv(path).strip().splitlines()
+        lines = curve_csv(path_to_json(path)).strip().splitlines()
         assert lines[0] == "k,cv_auc_mean,cv_auc_sd"
         assert len(lines) == 4
 
@@ -288,6 +289,6 @@ class TestImportanceProfile:
 
     def test_csv_header(self):
         path = self.make_path(3)
-        text = importance_profile(path).to_csv()
+        text = importance_csv(importance_profile(path).to_json())
         header = text.splitlines()[0]
         assert header == "k," + ",".join(path.columns)

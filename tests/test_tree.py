@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strikeaudit.dataset import FeatureMatrix, build_matrix, synth_generate
 from strikeaudit.errors import ContractViolationError, DegenerateDataError
@@ -331,3 +333,31 @@ class TestSerialization:
         doc["root"]["feature"] = "mystery"
         with pytest.raises(ValueError):
             tree_from_json(doc)
+
+
+class TestInvariance:
+    """The exact fit depends on the rows as a multiset and on column positions,
+    not on row order or column names."""
+
+    @staticmethod
+    def matrix(seed, n, p):
+        return binary_matrix(seed, n, p, rate_fn=lambda x: 0.15 + 0.6 * x[:, 0] * x[:, -1])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(12, 80), st.integers(1, 4),
+           st.sampled_from([0.0, 0.01, 0.05]))
+    @settings(max_examples=40, deadline=None)
+    def test_row_permutation_gives_the_same_tree(self, seed, n, p, alpha):
+        m = self.matrix(seed, n, p)
+        tree_settings = TreeSettings(max_depth=3, alpha=alpha, min_leaf=3)
+        perm = np.random.default_rng(seed).permutation(n)
+        assert fit_tree(m.take_rows(perm), tree_settings) == fit_tree(m, tree_settings)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(12, 80), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_renamed_columns_rename_the_tree(self, seed, n, p):
+        m = self.matrix(seed, n, p)
+        names = tuple(f"z{p - j}" for j in range(p))  # reverses the names' sort order
+        renamed = FeatureMatrix(x=m.x, columns=names, y=m.y)
+        tree_settings = TreeSettings(max_depth=3, alpha=0.01, min_leaf=3)
+        expected = replace(fit_tree(m, tree_settings), columns=names)
+        assert fit_tree(renamed, tree_settings) == expected
