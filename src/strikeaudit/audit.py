@@ -24,10 +24,10 @@ from .dataset import (
     load_csv,
     split,
 )
-from .errors import StageError, StrikeAuditError, UndefinedTestError
+from .errors import StageError, StrikeAuditError, UndefinedTestError, reading_document
 from .logreg import FitSettings
 from .stats import ContingencyTable, fisher_exact, holm_adjust
-from .subset import DEFAULT_NODE_BUDGET, ImportanceProfile, SubsetPath
+from .subset import DEFAULT_NODE_BUDGET, ImportanceProfile, SearchCounts, SubsetPath
 from .tree import Tree, TreeSettings
 
 
@@ -128,16 +128,18 @@ def ablation_auc(
     """Test AUC with all features vs with race columns removed, same seed."""
     if not train.race_columns or not test.race_columns:
         raise ValueError("ablation requires race columns in both matrices")
-    full = subset.subset_path(train, test, k_max, folds, seed, settings, budget)
-    ablated = _ablated_path(train, test, k_max, folds, seed, settings, budget)
+    memo = subset.FitMemo()
+    full = subset.subset_path(train, test, k_max, folds, seed, settings, budget, memo=memo)
+    ablated = _ablated_path(train, test, k_max, folds, seed, settings, budget, memo)
     return full.test_auc, ablated.test_auc
 
 
-def _ablated_path(train, test, k_max, folds, seed, settings, budget) -> SubsetPath:
-    """The subset path with the race columns removed, same folds and seed."""
-    train_nr = train.without_race()
+def _ablated_path(train, test, k_max, folds, seed, settings, budget, memo) -> SubsetPath:
+    """The subset path with the race columns excluded, same folds and seed.
+    The columns keep their indices, so ``memo`` serves the full run's fits."""
     return subset.subset_path(
-        train_nr, test.without_race(), min(k_max, train_nr.p), folds, seed, settings, budget,
+        train, test, min(k_max, train.p - len(train.race_columns)), folds, seed, settings,
+        budget, exclude=train.race_columns, memo=memo,
     )
 
 
@@ -240,6 +242,7 @@ class AuditReport:
     importance: ImportanceProfile
     auc_full: float
     auc_ablated: float
+    ablation_search: SearchCounts
     tree_alpha: float
     tree: Tree
     findings: list[DisparityFinding]
@@ -256,7 +259,11 @@ class AuditReport:
             "subset_path": subset.path_to_json(self.path),
             "chosen_model": logreg.model_to_json(self.path.chosen_model, self.path.columns),
             "importance": self.importance.to_json(),
-            "ablation": {"auc_full": self.auc_full, "auc_ablated": self.auc_ablated},
+            "ablation": {
+                "auc_full": self.auc_full,
+                "auc_ablated": self.auc_ablated,
+                "search": asdict(self.ablation_search),
+            },
             "tree": {"alpha": self.tree_alpha, **tree_mod.tree_to_json(self.tree)},
             "findings": [f.to_json() for f in self.findings],
         }
@@ -290,17 +297,19 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         train, test = split(m, cfg.train_fraction, cfg.seed)
     fit_settings = cfg.fit_settings()
     k_max = min(cfg.k_max, train.p)
+    memo = subset.FitMemo()
     with _stage("subset"):
         path = subset.subset_path(
-            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget,
+            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget, memo=memo,
         )
     with _stage("importance"):
         importance = subset.importance_profile(path)
     with _stage("ablation"):
         # subset_path on the full columns is deterministic, so the full-model
-        # AUC is the one already computed above; only the ablated run is new.
+        # AUC is the one already computed above; only the ablated run is new,
+        # and it reuses the full run's fits through the memo.
         ablated = _ablated_path(
-            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget,
+            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget, memo,
         )
     with _stage("tree"):
         alpha, fitted = tree_mod.tune_alpha(
@@ -315,6 +324,7 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         importance=importance,
         auc_full=path.test_auc,
         auc_ablated=ablated.test_auc,
+        ablation_search=ablated.search,
         tree_alpha=alpha,
         tree=fitted,
         findings=findings,
@@ -351,13 +361,15 @@ def json_text(obj) -> str:
 
 
 def report_files(doc: dict) -> dict[str, str]:
-    """The plot data files derived from a report.json document, by name."""
-    return {
-        "ofs_curve.csv": subset.curve_csv(doc["subset_path"]),
-        "importance.csv": subset.importance_csv(doc["importance"]),
-        "tree.json": json_text({k: v for k, v in doc["tree"].items() if k != "alpha"}),
-        "disparity.csv": findings_csv(doc["findings"]),
-    }
+    """The plot data files derived from a report.json document, by name; a
+    missing key is a SchemaError."""
+    with reading_document("report document"):
+        return {
+            "ofs_curve.csv": subset.curve_csv(doc["subset_path"]),
+            "importance.csv": subset.importance_csv(doc["importance"]),
+            "tree.json": json_text({k: v for k, v in doc["tree"].items() if k != "alpha"}),
+            "disparity.csv": findings_csv(doc["findings"]),
+        }
 
 
 def write_files(outdir, files: dict[str, str]) -> None:

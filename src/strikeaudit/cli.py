@@ -13,7 +13,7 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import dataset, logreg, subset, tree as tree_mod
 from .audit import json_text, write_files
-from .errors import StrikeAuditError
+from .errors import StrikeAuditError, reading_document
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -225,19 +225,23 @@ def _cmd_audit(args) -> int:
 
 def _cmd_report(args) -> int:
     doc = json.loads(Path(args.report).read_text())
-    write_files(args.out, audit_mod.report_files(doc))
-    print(f"model AUC (test): {doc['subset_path']['test_auc']:.4f}")
-    print(f"ablated AUC:      {doc['ablation']['auc_ablated']:.4f}")
-    print("chosen model:")
-    model = doc["chosen_model"]
-    for name, beta in zip(model["support"], model["beta"]):
-        print(f"  {name:24s} {beta:+.5f}")
-    print(f"  {'intercept':24s} {model['intercept']:+.5f}")
-    print("tree:")
-    print(tree_mod.tree_to_text(tree_mod.tree_from_json(doc["tree"])), end="")
-    print("findings:")
-    for f in doc["findings"]:
-        print("  " + _finding_line(audit_mod.DisparityFinding.from_json(f)))
+    files = audit_mod.report_files(doc)
+    with reading_document("report document"):
+        model = doc["chosen_model"]
+        lines = [
+            f"model AUC (test): {doc['subset_path']['test_auc']:.4f}",
+            f"ablated AUC:      {doc['ablation']['auc_ablated']:.4f}",
+            "chosen model:",
+            *(f"  {name:24s} {beta:+.5f}" for name, beta in zip(model["support"], model["beta"])),
+            f"  {'intercept':24s} {model['intercept']:+.5f}",
+            "tree:",
+            tree_mod.tree_to_text(tree_mod.tree_from_json(doc["tree"])).rstrip("\n"),
+            "findings:",
+            *("  " + _finding_line(audit_mod.DisparityFinding.from_json(f))
+              for f in doc["findings"]),
+        ]
+    write_files(args.out, files)
+    print("\n".join(lines))
     return 0
 
 

@@ -1,12 +1,26 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class StrikeAuditError(Exception):
     """Base class for all data and contract errors raised by this package."""
 
 
 class SchemaError(StrikeAuditError):
-    """CSV header is missing a required column."""
+    """A CSV header or JSON document lacks a required column or key."""
+
+
+@contextmanager
+def reading_document(what: str):
+    """Re-raise a key missing from (or a wrong shape in) the JSON document
+    being read as a SchemaError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{what} is missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise SchemaError(f"{what} is malformed: {exc}") from None
 
 
 class ParseError(StrikeAuditError):

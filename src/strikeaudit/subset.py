@@ -12,7 +12,7 @@ baseline and the per-size importance profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,6 +44,16 @@ class SubsetPathEntry:
 
 
 @dataclass
+class SearchCounts:
+    """Work done by one subset_path call: Newton fits solved, fits answered
+    from the memo, and solved fits that did not converge."""
+
+    fits: int = 0
+    memo_hits: int = 0
+    unconverged: int = 0
+
+
+@dataclass
 class SubsetPath:
     entries: list[SubsetPathEntry]
     chosen_k: int
@@ -51,40 +61,83 @@ class SubsetPath:
     models: tuple[LogisticModel, ...]
     chosen_model: LogisticModel
     columns: tuple[str, ...]
+    search: SearchCounts
 
 
 class _FitCache:
-    """Memoized Newton fits on one matrix, keyed by support set."""
+    """Memoized Newton fits on one row set: search fits (warm-started, so
+    their last bits depend on the start) and fits from zeros (a pure
+    function of the support). Both tables, which FitMemo shares between
+    calls, are keyed by the sorted support, which is the model's own support
+    tuple, so a key takes no memory of its own."""
 
-    def __init__(self, m: FeatureMatrix, settings: FitSettings):
+    def __init__(self, m: FeatureMatrix, settings: FitSettings, counts: SearchCounts,
+                 tables: tuple[dict, dict] | None = None):
         self.m = m
         self.settings = settings
-        self._models: dict[frozenset, LogisticModel] = {}
+        self.counts = counts
+        self._models, self._cold = tables if tables is not None else ({}, {})
+
+    def _solve(self, ordered: tuple[int, ...], init=None) -> LogisticModel:
+        model = logreg.fit(self.m, ordered, self.settings, init=init)
+        self.counts.fits += 1
+        self.counts.unconverged += not model.diagnostics.converged
+        return model
 
     def fit(self, support, warm_from: LogisticModel | None = None) -> LogisticModel:
-        key = frozenset(support)
+        key = tuple(sorted(support))
         model = self._models.get(key)
-        if model is None:
-            ordered = tuple(sorted(key))
-            init = None
-            if warm_from is not None:
-                known = dict(zip(warm_from.support, warm_from.beta))
-                init = np.array(
-                    [warm_from.intercept] + [known.get(j, 0.0) for j in ordered]
-                )
-            model = logreg.fit(self.m, ordered, self.settings, init=init)
-            self._models[key] = model
+        if model is not None:
+            self.counts.memo_hits += 1
+        elif warm_from is None:
+            model = self._models[key] = self.cold(key)
+        else:
+            known = dict(zip(warm_from.support, warm_from.beta))
+            init = np.array([warm_from.intercept] + [known.get(j, 0.0) for j in key])
+            model = self._models[key] = self._solve(key, init)
+        return model
+
+    def cold(self, support) -> LogisticModel:
+        """The fit of the support from zeros."""
+        key = tuple(sorted(support))
+        model = self._cold.get(key)
+        if model is not None:
+            self.counts.memo_hits += 1
+        else:
+            model = self._cold[key] = self._solve(key)
         return model
 
 
-def _forward(cache: _FitCache, p: int, k: int) -> tuple[frozenset, float]:
-    """Greedy forward selection to size k."""
+class FitMemo:
+    """Newton fits shared by the subset_path calls on one training matrix
+    (the same object) with one FitSettings, whatever their seed or excluded
+    columns: one pair of _FitCache tables per row set, keyed by the row
+    indices. It holds no row-subset matrix: each pass takes its rows
+    afresh, and the matrix goes when the pass ends."""
+
+    def __init__(self):
+        self._owner: tuple[FeatureMatrix, FitSettings] | None = None
+        self._tables: dict[bytes | None, tuple[dict, dict]] = {}
+
+    def cache(self, train: FeatureMatrix, settings: FitSettings, rows, counts) -> _FitCache:
+        """The fit cache of train's rows ``rows`` (all rows when None)."""
+        if self._owner is None:
+            self._owner = (train, settings)
+        elif self._owner[0] is not train or self._owner[1] != settings:
+            raise ValueError("a FitMemo serves one training matrix and one FitSettings")
+        m = train if rows is None else train.take_rows(rows)
+        key = None if rows is None else rows.tobytes()
+        return _FitCache(m, settings, counts, self._tables.setdefault(key, ({}, {})))
+
+
+def _forward(cache: _FitCache, allowed: tuple[int, ...], k: int) -> tuple[frozenset, float]:
+    """Greedy forward selection to size k over the allowed columns."""
     support: frozenset = frozenset()
     model = cache.fit(support)
     best_obj = model.diagnostics.final_nll
     for _ in range(k):
         best_j, best_val = None, best_obj
-        for j in range(p):
+        for j in allowed:
             if j in support:
                 continue
             val = cache.fit(support | {j}, warm_from=model).diagnostics.final_nll
@@ -100,7 +153,7 @@ def _forward(cache: _FitCache, p: int, k: int) -> tuple[frozenset, float]:
 
 def _branch_and_bound(
     cache: _FitCache,
-    p: int,
+    allowed: tuple[int, ...],
     k: int,
     budget: int,
     incumbent: tuple[frozenset, float],
@@ -121,7 +174,7 @@ def _branch_and_bound(
     # Stack entries: (forced, allowed, bound, bound_model); include-children
     # inherit the parent's bound, exclude-children are re-bounded on pop.
     stack: list[tuple[frozenset, tuple[int, ...], float | None, LogisticModel | None]] = [
-        (frozenset(), tuple(range(p)), None, None)
+        (frozenset(), allowed, None, None)
     ]
     while stack:
         forced, allowed, bound, bound_model = stack.pop()
@@ -163,24 +216,23 @@ def _branch_and_bound(
 
 def _best_subset_cached(
     cache: _FitCache,
+    allowed: tuple[int, ...],
     k: int,
     budget: int,
     incumbent: tuple[frozenset, float] | None = None,
 ) -> SubsetResult:
-    p = cache.m.p
-    if k < 0 or k > p:
-        raise ValueError(f"k must be in [0, {p}], got {k}")
-    support, obj = _forward(cache, p, k)
+    if k < 0 or k > len(allowed):
+        raise ValueError(f"k must be in [0, {len(allowed)}], got {k}")
+    support, obj = _forward(cache, allowed, k)
     if incumbent is not None and incumbent[1] < obj:
         support, obj = incumbent
-    support, obj, certified = _branch_and_bound(cache, p, k, budget, (support, obj))
+    support, obj, certified = _branch_and_bound(cache, allowed, k, budget, (support, obj))
     # Refit the winner from zeros so the returned model honors the public
     # fit contract regardless of warm starts used during the search.
-    ordered = tuple(sorted(support))
-    model = logreg.fit(cache.m, ordered, cache.settings)
+    model = cache.cold(support)
     return SubsetResult(
         k=k,
-        support=ordered,
+        support=model.support,
         model=model,
         objective=model.diagnostics.final_nll,
         certified_optimal=certified and model.diagnostics.converged,
@@ -200,19 +252,19 @@ def best_subset(
     converge; the best support found (the forward-selection incumbent or
     better) is returned either way.
     """
-    return _best_subset_cached(_FitCache(m, settings), k, budget)
+    cache = _FitCache(m, settings, SearchCounts())
+    return _best_subset_cached(cache, tuple(range(m.p)), k, budget)
 
 
 def _search_path(
-    m: FeatureMatrix, k_max: int, settings: FitSettings, budget: int
+    cache: _FitCache, allowed: tuple[int, ...], k_max: int, budget: int
 ) -> list[SubsetResult]:
-    """Best subset of each size k = 1..k_max on one matrix; every search
-    starts from the previous size's winner and shares one fit cache."""
-    cache = _FitCache(m, settings)
+    """Best subset of each size k = 1..k_max on the cache's rows; every
+    search starts from the previous size's winner."""
     results: list[SubsetResult] = []
     for k in range(1, k_max + 1):
         incumbent = (frozenset(results[-1].support), results[-1].objective) if results else None
-        results.append(_best_subset_cached(cache, k, budget, incumbent))
+        results.append(_best_subset_cached(cache, allowed, k, budget, incumbent))
     return results
 
 
@@ -224,6 +276,8 @@ def subset_path(
     seed: int,
     settings: FitSettings = FitSettings(),
     budget: int = DEFAULT_NODE_BUDGET,
+    exclude: frozenset[int] = frozenset(),
+    memo: FitMemo | None = None,
 ) -> SubsetPath:
     """Cross-validated model-size selection over k = 1..k_max.
 
@@ -231,23 +285,33 @@ def subset_path(
     the validation AUC recorded; the size with the best mean AUC wins (ties
     break toward fewer features). The chosen size is refit on the full
     training data and scored once on the held-out test set.
+
+    No search uses a column in ``exclude``; column indices keep their
+    meaning, so calls on the same training matrix that exclude different
+    columns can share one ``memo`` and solve each problem once.
     """
-    if k_max < 1 or k_max > train.p:
-        raise ValueError(f"k_max must be in [1, {train.p}], got {k_max}")
+    if not all(0 <= j < train.p for j in exclude):
+        raise ValueError(f"exclude must hold column indices in [0, {train.p})")
+    allowed = tuple(j for j in range(train.p) if j not in exclude)
+    if k_max < 1 or k_max > len(allowed):
+        raise ValueError(f"k_max must be in [1, {len(allowed)}], got {k_max}")
     if train.columns != test.columns:
         raise ValueError("train and test matrices must share columns")
+    memo = FitMemo() if memo is None else memo
+    counts = SearchCounts()
     auc_rows = []
     folds_certified = np.ones(k_max, dtype=bool)
     for tr, va in stratified_folds(train.y, folds, seed):
         val = train.take_rows(va)
-        fold_results = _search_path(train.take_rows(tr), k_max, settings, budget)
+        # No name holds the fold's cache, so its row matrix dies with the pass.
+        fold_results = _search_path(memo.cache(train, settings, tr, counts), allowed, k_max, budget)
         auc_rows.append(
             [stats.auc(logreg.predict_proba(r.model, val), val.y) for r in fold_results]
         )
         folds_certified &= [r.certified_optimal for r in fold_results]
     auc_matrix = np.asarray(auc_rows)  # folds x k_max
 
-    results = _search_path(train, k_max, settings, budget)
+    results = _search_path(memo.cache(train, settings, None, counts), allowed, k_max, budget)
     entries = [
         SubsetPathEntry(
             k=res.k,
@@ -274,6 +338,7 @@ def subset_path(
         models=tuple(res.model for res in results),
         chosen_model=chosen_model,
         columns=train.columns,
+        search=counts,
     )
 
 
@@ -342,6 +407,7 @@ def path_to_json(path: SubsetPath) -> dict:
         "chosen_k": path.chosen_k,
         "test_auc": path.test_auc,
         "chosen_model": logreg.model_to_json(path.chosen_model, path.columns),
+        "search": asdict(path.search),
     }
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .dataset import FeatureMatrix, RACE_FEATURE_NAMES, stratified_folds
-from .errors import ContractViolationError, DegenerateDataError
+from .errors import ContractViolationError, DegenerateDataError, reading_document
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,7 @@ def tree_to_json(tree: Tree) -> dict:
 
 
 def tree_from_json(obj: dict) -> Tree:
-    columns = tuple(obj["columns"])
-    index = {name: j for j, name in enumerate(columns)}
+    """The tree of a tree_to_json document; a missing key is a SchemaError."""
     nodes: list = []
     max_depth = 0
 
@@ -284,7 +283,10 @@ def tree_from_json(obj: dict) -> Tree:
             nodes[idx] = Split(feature=index[feature], left=left, right=right)
         return idx
 
-    rec(obj["root"], 0)
+    with reading_document("tree document"):
+        columns = tuple(obj["columns"])
+        index = {name: j for j, name in enumerate(columns)}
+        rec(obj["root"], 0)
     return Tree(nodes=tuple(nodes), root=0, columns=columns, depth=max_depth)
 
 

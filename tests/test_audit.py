@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strikeaudit import logreg
 from strikeaudit.audit import (
     AuditConfig,
     DisparityFinding,
@@ -295,6 +296,42 @@ class TestRunAudit:
             assert (out / name).exists(), name
         doc = json.loads((out / "tree.json").read_text())
         assert tree_from_json(doc) == report.tree
+
+    def test_search_counts_in_report(self, tmp_path, monkeypatch):
+        solved = []
+        real_fit = logreg.fit
+
+        def counting_fit(m, support, *args, **kwargs):
+            model = real_fit(m, support, *args, **kwargs)
+            solved.append(model.diagnostics.converged)
+            return model
+
+        monkeypatch.setattr(logreg, "fit", counting_fit)
+        doc = run_audit(disparity_audit_config(tmp_path, seed=11, n=900)).to_json()
+        full, ablation = doc["subset_path"]["search"], doc["ablation"]["search"]
+        assert set(full) == set(ablation) == {"fits", "memo_hits", "unconverged"}
+        assert full["fits"] + ablation["fits"] == len(solved)
+        assert full["unconverged"] + ablation["unconverged"] == solved.count(False)
+        # The ablated search reuses the full search's fits.
+        assert ablation["memo_hits"] > 0
+        assert ablation["fits"] < full["fits"]
+
+    def test_each_problem_solved_once(self, tmp_path, monkeypatch):
+        # A problem is the rows' targets and the support's named columns; it
+        # may be solved once warm-started and once from zeros, never more.
+        solved = {True: [], False: []}
+        real_fit = logreg.fit
+
+        def recording_fit(m, support, settings=logreg.FitSettings(), init=None, **kwargs):
+            columns = frozenset((m.columns[j], m.x[:, j].tobytes()) for j in support)
+            solved[init is None].append((m.y.tobytes(), columns))
+            return real_fit(m, support, settings, init=init, **kwargs)
+
+        monkeypatch.setattr(logreg, "fit", recording_fit)
+        run_audit(disparity_audit_config(tmp_path, seed=12, n=900))
+        for from_zeros, problems in solved.items():
+            assert problems
+            assert len(set(problems)) == len(problems), f"from_zeros={from_zeros}"
 
     def test_config_json_round_trip(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=10, n=900)

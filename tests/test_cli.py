@@ -257,6 +257,23 @@ class TestExitCodes:
         assert main([command, *flags, flag, value]) == 2
         assert field in capsys.readouterr().err
 
+    def test_report_missing_key_is_data_error(self, workdir, capsys):
+        doc = workdir["root"] / "empty_report.json"
+        doc.write_text("{}")
+        out = workdir["root"] / "empty_report_out"
+        assert main(["report", "--report", str(doc), "--out", str(out)]) == 2
+        assert "'subset_path'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_disparity_tree_missing_key_is_data_error(self, workdir, capsys):
+        tree_doc = workdir["root"] / "tree_without_n_struck.json"
+        tree_doc.write_text(json.dumps({"columns": ["accused"], "root": {"leaf": {"n": 5}}}))
+        assert main([
+            "disparity", "--input", str(workdir["data"]), "--catalog", str(workdir["catalog"]),
+            "--tree", str(tree_doc), "--out", str(workdir["root"] / "disp_no_n_struck"),
+        ]) == 2
+        assert "'n_struck'" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["audit", "--help"]) == 0

@@ -8,6 +8,7 @@ from strikeaudit.dataset import FeatureMatrix, split
 from strikeaudit.errors import StratificationError
 from strikeaudit.logreg import FitDiagnostics, FitSettings
 from strikeaudit.subset import (
+    FitMemo,
     backward_stepwise,
     best_subset,
     curve_csv,
@@ -218,6 +219,73 @@ class TestSubsetPath:
         lines = curve_csv(path_to_json(path)).strip().splitlines()
         assert lines[0] == "k,cv_auc_mean,cv_auc_sd"
         assert len(lines) == 4
+
+
+def race_path_instance(seed):
+    """A small random matrix with one or two race columns at random places,
+    split, plus the path arguments drawn for it."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(3, 7))
+    race = frozenset(int(j) for j in rng.choice(p, size=int(rng.integers(1, 3)), replace=False))
+    signal = {int(j): float(rng.normal(0, 1.5)) for j in rng.choice(p, size=2, replace=False)}
+    m = random_binary_matrix(seed, int(rng.integers(60, 161)), p, signal=signal)
+    m = FeatureMatrix(x=m.x, columns=m.columns, y=m.y, race_columns=race)
+    train, test = split(m, 0.7, seed)
+    k_max = int(rng.integers(1, p - len(race) + 1))
+    budget = 1 if seed % 4 == 0 else 10**6
+    return train, test, k_max, budget
+
+
+def search_free(path) -> dict:
+    """path_to_json without the search counts, which depend on the memo."""
+    return {k: v for k, v in path_to_json(path).items() if k != "search"}
+
+
+class TestExcludeAndMemo:
+    @pytest.mark.parametrize("seed", range(36))
+    def test_excluded_run_with_shared_memo_matches_fresh_run_without_race(self, seed):
+        train, test, k_max, budget = race_path_instance(seed)
+        memo = FitMemo()
+        subset_path(train, test, min(k_max + 1, train.p), 3, seed, budget=budget, memo=memo)
+        ablated = subset_path(train, test, k_max, 3, seed, budget=budget,
+                              exclude=train.race_columns, memo=memo)
+        fresh = subset_path(train.without_race(), test.without_race(), k_max, 3, seed,
+                            budget=budget)
+        assert ablated.search.memo_hits > fresh.search.memo_hits
+        assert ablated.search.fits < fresh.search.fits
+        # The supports are compared by name: the two runs index columns differently.
+        assert search_free(ablated) == search_free(fresh)
+
+    def test_excluded_columns_are_never_selected(self):
+        train, test, _, _ = race_path_instance(1)
+        allowed = train.p - len(train.race_columns)
+        path = subset_path(train, test, allowed, 3, 0, exclude=train.race_columns)
+        assert all(not set(e.support) & train.race_columns for e in path.entries)
+        assert len(path.entries[-1].support) == allowed
+        with pytest.raises(ValueError, match="k_max"):
+            subset_path(train, test, allowed + 1, 3, 0, exclude=train.race_columns)
+        with pytest.raises(ValueError, match="exclude"):
+            subset_path(train, test, 1, 3, 0, exclude=frozenset({train.p}))
+
+    def test_memo_shared_across_seeds_changes_nothing(self):
+        train, test, k_max, _ = race_path_instance(3)
+        memo = FitMemo()
+        for seed in (1, 2):
+            shared = subset_path(train, test, k_max, 3, seed, memo=memo)
+            fresh = subset_path(train, test, k_max, 3, seed)
+            assert search_free(shared) == search_free(fresh)
+        # The second seed searched the full training rows already searched.
+        assert shared.search.fits < fresh.search.fits
+
+    def test_memo_serves_one_matrix_and_settings(self):
+        train, test, k_max, _ = race_path_instance(5)
+        memo = FitMemo()
+        subset_path(train, test, k_max, 3, 0, memo=memo)
+        copy = train.take_rows(np.arange(train.n))
+        with pytest.raises(ValueError, match="FitMemo"):
+            subset_path(copy, test, k_max, 3, 0, memo=memo)
+        with pytest.raises(ValueError, match="FitMemo"):
+            subset_path(train, test, k_max, 3, 0, FitSettings(ridge=0.5), memo=memo)
 
 
 class TestBackwardStepwise:
