@@ -15,7 +15,6 @@ from .audit import (
 )
 from .dataset import (
     FeatureMatrix,
-    JurorRecord,
     JurorTable,
     SplitSpec,
     SynthConfig,

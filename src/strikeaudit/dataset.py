@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,25 +22,30 @@ from .errors import (
 )
 
 REQUIRED_COLUMNS = ("trial_id", "juror_id", "is_black", "struck_by_state", "eligible")
+FLAG_COLUMNS = REQUIRED_COLUMNS[2:]
 RACE_FEATURE_NAMES = frozenset({"is_black", "same_race"})
 MISSING_POLICIES = ("as_no", "drop_row")
+# Cell text -> answer code; load_csv reads any other text as _BAD.
+_CODES = {"1": 1, "0": 0, "": -1}
+_BAD = 2
+# Answer code -> cell text; -1 (missing) indexes the last entry.
+_TEXT = np.array(["0", "1", ""])
 
 
-@dataclass
-class JurorRecord:
-    trial_id: str
-    juror_id: str
-    is_black: bool
-    struck_by_state: bool
-    eligible: bool
-    # voir dire answers: True/False, or None for a non-response
-    answers: dict[str, bool | None]
-
-
-@dataclass
+@dataclass(eq=False)
 class JurorTable:
-    records: list[JurorRecord]
+    """Jurors as columns, one row per juror in file order: the ids as object
+    arrays of str (a numpy str array would strip trailing NULs), the three
+    flags as bool arrays, and the answers as an int8 (n x len(feature_catalog))
+    array of 1 (yes), 0 (no) or -1 (missing)."""
+
     feature_catalog: tuple[str, ...]
+    trial_id: np.ndarray
+    juror_id: np.ndarray
+    is_black: np.ndarray
+    struck_by_state: np.ndarray
+    eligible: np.ndarray
+    answers: np.ndarray
 
     def __post_init__(self):
         self.feature_catalog = tuple(self.feature_catalog)
@@ -47,86 +54,81 @@ class JurorTable:
             raise SchemaError(
                 f"feature catalog collides with required columns: {sorted(overlap)}"
             )
-        catalog = set(self.feature_catalog)
+        for name in REQUIRED_COLUMNS:
+            dtype = bool if name in FLAG_COLUMNS else object
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        self.answers = np.asarray(self.answers, np.int8).reshape(len(self), len(self.feature_catalog))
+        if {getattr(self, c).shape for c in REQUIRED_COLUMNS} != {(len(self),)}:
+            raise ValueError("every column needs one entry per juror")
+        if not np.isin(self.answers, (-1, 0, 1)).all():
+            raise ValueError("answers must be 1, 0 or -1 (missing)")
         seen: set[tuple[str, str]] = set()
-        for r in self.records:
-            extra = set(r.answers) - catalog
-            if extra:
-                raise ParseError(
-                    f"juror {r.juror_id!r}: answers outside catalog: {sorted(extra)}"
-                )
-            key = (r.trial_id, r.juror_id)
-            if key in seen:
-                raise ParseError(
-                    f"duplicate juror_id {r.juror_id!r} within trial {r.trial_id!r}"
-                )
-            seen.add(key)
+        for trial, juror in zip(self.trial_id.tolist(), self.juror_id.tolist()):
+            if (trial, juror) in seen:
+                raise ParseError(f"duplicate juror_id {juror!r} within trial {trial!r}")
+            seen.add((trial, juror))
 
     def __len__(self) -> int:
-        return len(self.records)
-
-
-def _parse_bool(value: str, row: int, column: str) -> bool:
-    if value == "1":
-        return True
-    if value == "0":
-        return False
-    raise ParseError(f"row {row}, column {column!r}: expected 0 or 1, got {value!r}")
+        return self.is_black.size
 
 
 def load_csv(path, catalog) -> JurorTable:
-    """Read juror records; answer cells use "1"/"0"/"" for yes/no/missing."""
+    """Read juror records; answer cells use "1"/"0"/"" for yes/no/missing.
+
+    A UTF-8 byte-order mark is skipped and blank lines are ignored. A
+    malformed file raises at its first fault in row order (a short row, or a
+    bad cell, catalog columns before the flags), naming the file line.
+    """
     catalog = tuple(catalog)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in (*REQUIRED_COLUMNS, *catalog):
             if col not in header:
                 raise SchemaError(f"missing required column {col!r}")
-        records = []
-        for i, row in enumerate(reader, start=2):  # header is line 1
-            answers: dict[str, bool | None] = {}
-            for name in catalog:
-                cell = row[name]
-                answers[name] = None if cell == "" else _parse_bool(cell, i, name)
-            records.append(
-                JurorRecord(
-                    trial_id=row["trial_id"],
-                    juror_id=row["juror_id"],
-                    is_black=_parse_bool(row["is_black"], i, "is_black"),
-                    struck_by_state=_parse_bool(row["struck_by_state"], i, "struck_by_state"),
-                    eligible=_parse_bool(row["eligible"], i, "eligible"),
-                    answers=answers,
-                )
-            )
-    return JurorTable(records=records, feature_catalog=catalog)
+            if header.count(col) > 1:
+                raise SchemaError(f"column {col!r} appears more than once in the header")
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)  # the record's last line
+    short = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) < len(header))
+    n = int(short[0]) if short.size else len(rows)  # rows before the first short one
+    names = (*catalog, *FLAG_COLUMNS)
+    index = [header.index(c) for c in names]
+    cells = chain.from_iterable(map(itemgetter(*index), rows[:n]))
+    codes = np.fromiter(map(_CODES.get, cells, repeat(_BAD)), np.int8, n * len(index))
+    codes = codes.reshape(n, len(index))
+    bad = codes == _BAD
+    bad[:, len(catalog):] |= codes[:, len(catalog):] < 0  # a flag cannot be missing
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), len(index))
+        raise ParseError(
+            f"line {lines[i]}, column {names[j]!r}: expected 0 or 1, got {rows[i][index[j]]!r}"
+        )
+    if n < len(rows):
+        raise ParseError(f"line {lines[n]} has {len(rows[n])} fields, header has {len(header)}")
+    ids = [list(map(itemgetter(header.index(c)), rows)) for c in ("trial_id", "juror_id")]
+    return JurorTable(catalog, *ids, *codes[:, len(catalog):].T, codes[:, : len(catalog)])
 
 
 def write_csv(table: JurorTable, path) -> None:
     """Inverse of load_csv: reloading the file reproduces the table."""
+    flags = np.column_stack([getattr(table, c) for c in FLAG_COLUMNS]).astype(np.int8)
+    cells = _TEXT[np.column_stack([flags, table.answers])].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*REQUIRED_COLUMNS, *table.feature_catalog])
-        for r in table.records:
-            row = [
-                r.trial_id,
-                r.juror_id,
-                int(r.is_black),
-                int(r.struck_by_state),
-                int(r.eligible),
-            ]
-            for name in table.feature_catalog:
-                value = r.answers.get(name)
-                row.append("" if value is None else int(value))
-            writer.writerow(row)
+        ids = zip(table.trial_id.tolist(), table.juror_id.tolist())
+        writer.writerows([trial, juror, *rest] for (trial, juror), rest in zip(ids, cells))
 
 
 def filter_eligible(table: JurorTable) -> JurorTable:
     """Keep only jurors the State could have struck, in original order."""
-    return JurorTable(
-        records=[r for r in table.records if r.eligible],
-        feature_catalog=table.feature_catalog,
-    )
+    keep = table.eligible
+    return JurorTable(table.feature_catalog, *(getattr(table, c)[keep] for c in REQUIRED_COLUMNS),
+                      table.answers[keep])
 
 
 @dataclass(frozen=True)
@@ -198,16 +200,9 @@ def answer_matrix(table: JurorTable, columns) -> tuple[np.ndarray, ...]:
     unknown = [c for c in columns if c not in table.feature_catalog]
     if unknown:
         raise SchemaError(f"columns not in the feature catalog: {unknown}")
-    records = table.records
-    # float() of an answer, with None (missing) as nan until it is zeroed.
-    x = np.array(
-        [[r.answers.get(name) for name in columns] for r in records], dtype=float
-    ).reshape(len(records), len(columns))
-    missing = np.isnan(x)
-    x[missing] = 0.0
-    is_black = np.array([r.is_black for r in records], dtype=bool)
-    struck = np.array([r.struck_by_state for r in records], dtype=bool)
-    return x, is_black, struck, ~missing.any(axis=1)
+    answers = table.answers[:, [table.feature_catalog.index(c) for c in columns]]
+    x = np.maximum(answers, 0).astype(float, order="C")  # the column slice is column-major
+    return x, table.is_black, table.struck_by_state, (answers >= 0).all(axis=1)
 
 
 def build_matrix(table: JurorTable, missing_policy: str = "as_no") -> FeatureMatrix:
@@ -218,7 +213,7 @@ def build_matrix(table: JurorTable, missing_policy: str = "as_no") -> FeatureMat
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}")
-    if not table.records:
+    if not len(table):
         raise DegenerateDataError("cannot build a matrix from an empty table")
     catalog = table.feature_catalog
     answers, is_black, struck, complete = answer_matrix(table, catalog)
@@ -406,13 +401,13 @@ class SynthConfig:
         }
 
 
-def _route_masks(spec: SplitSpec, values: dict[str, np.ndarray], mask: np.ndarray, out: np.ndarray, leaf_order: dict[str, int]) -> None:
+def _strike_rates(spec: SplitSpec, cfg: SynthConfig, present: dict, is_black) -> np.ndarray:
+    """Each juror's strike rate: its race's rate at the leaf spec routes it to."""
     if spec.is_leaf:
-        out[mask] = leaf_order[spec.leaf_id]
-        return
-    present = values[spec.feature]
-    _route_masks(spec.left, values, mask & ~present, out, leaf_order)
-    _route_masks(spec.right, values, mask & present, out, leaf_order)
+        black, nonblack = cfg.leaf_rates[spec.leaf_id]
+        return np.where(is_black, black, nonblack)
+    right, left = (_strike_rates(s, cfg, present, is_black) for s in (spec.right, spec.left))
+    return np.where(present[spec.feature], right, left)
 
 
 def synth_generate(cfg: SynthConfig, seed: int) -> JurorTable:
@@ -425,31 +420,12 @@ def synth_generate(cfg: SynthConfig, seed: int) -> JurorTable:
     rng = np.random.default_rng(seed)
     catalog = tuple(cfg.feature_marginals)
     n = cfg.n
-    if n == 0:
-        return JurorTable(records=[], feature_catalog=catalog)
     is_black = rng.random(n) < cfg.black_fraction
-    values: dict[str, np.ndarray] = {}
-    for name in catalog:
+    answers = np.empty((n, len(catalog)), dtype=np.int8)
+    for j, name in enumerate(catalog):
         p_black, p_nonblack = cfg.feature_marginals[name]
-        probs = np.where(is_black, p_black, p_nonblack)
-        values[name] = rng.random(n) < probs
-    leaf_ids = cfg.tree_spec.leaves()
-    leaf_order = {leaf: i for i, leaf in enumerate(leaf_ids)}
-    routed = np.zeros(n, dtype=int)
-    _route_masks(cfg.tree_spec, values, np.ones(n, dtype=bool), routed, leaf_order)
-    rate_black = np.array([cfg.leaf_rates[leaf][0] for leaf in leaf_ids])
-    rate_nonblack = np.array([cfg.leaf_rates[leaf][1] for leaf in leaf_ids])
-    rates = np.where(is_black, rate_black[routed], rate_nonblack[routed])
-    struck = rng.random(n) < rates
-    records = [
-        JurorRecord(
-            trial_id="t1",
-            juror_id=f"j{i:06d}",
-            is_black=bool(is_black[i]),
-            struck_by_state=bool(struck[i]),
-            eligible=True,
-            answers={name: bool(values[name][i]) for name in catalog},
-        )
-        for i in range(n)
-    ]
-    return JurorTable(records=records, feature_catalog=catalog)
+        answers[:, j] = rng.random(n) < np.where(is_black, p_black, p_nonblack)
+    present = dict(zip(catalog, answers.T == 1))
+    struck = rng.random(n) < _strike_rates(cfg.tree_spec, cfg, present, is_black)
+    juror_ids = [f"j{i:06d}" for i in range(n)]
+    return JurorTable(catalog, np.full(n, "t1"), juror_ids, is_black, struck, np.ones(n, bool), answers)

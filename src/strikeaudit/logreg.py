@@ -43,7 +43,7 @@ class FitSettings:
         return 1.0 / n if self.ridge is None else self.ridge
 
 
-@dataclass
+@dataclass(slots=True)
 class FitDiagnostics:
     final_nll: float
     iterations: int
@@ -52,7 +52,7 @@ class FitDiagnostics:
     trace: tuple[float, ...] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LogisticModel:
     """p(struck) = sigmoid(intercept + beta . x[support])."""
 
@@ -209,7 +209,7 @@ def fit(
     )
     return LogisticModel(
         support=support,
-        beta=theta[1:],
+        beta=theta[1:].copy(),  # a view would keep all of theta alive
         intercept=float(theta[0]),
         ridge=ridge,
         diagnostics=diag,

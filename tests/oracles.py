@@ -5,6 +5,7 @@ Each oracle recomputes a quantity by the most literal method available
 and never calls the code path it verifies.
 """
 
+import csv
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -271,4 +272,120 @@ def enumerate_trees_best_key(x, y, max_depth, min_leaf, alpha):
     return min(
         (Fraction(mis, n_total) + a * leaves, leaves, seq)
         for mis, leaves, seq in enumerate_trees(x, y, max_depth, min_leaf)
+    )
+
+
+REQUIRED_COLUMNS = ("trial_id", "juror_id", "is_black", "struck_by_state", "eligible")
+
+
+def _reference_bool(value, line, column):
+    if value == "1":
+        return True
+    if value == "0":
+        return False
+    from strikeaudit.errors import ParseError
+
+    raise ParseError(f"line {line}, column {column!r}: expected 0 or 1, got {value!r}")
+
+
+def reference_load_csv(path, catalog) -> list[dict]:
+    """Juror records read one csv.DictReader row and one cell at a time, as
+    dicts of the required columns plus "answers" (name -> True/False/None).
+    Raises the exceptions load_csv documents, with the same messages."""
+    from strikeaudit.errors import ParseError, SchemaError
+
+    catalog = tuple(catalog)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in (*REQUIRED_COLUMNS, *catalog):
+            if col not in header:
+                raise SchemaError(f"missing required column {col!r}")
+            if header.count(col) > 1:
+                raise SchemaError(f"column {col!r} appears more than once in the header")
+        records = []
+        for row in reader:
+            # DictReader.line_num is stale after a skipped blank line; the
+            # wrapped reader's count is the record's last file line.
+            line = reader.reader.line_num
+            if None in row.values():  # DictReader pads a short row with None
+                fields = next(i for i, name in enumerate(header) if row[name] is None)
+                raise ParseError(f"line {line} has {fields} fields, header has {len(header)}")
+            answers = {}
+            for name in catalog:
+                cell = row[name]
+                answers[name] = None if cell == "" else _reference_bool(cell, line, name)
+            records.append({
+                "trial_id": row["trial_id"],
+                "juror_id": row["juror_id"],
+                **{c: _reference_bool(row[c], line, c) for c in REQUIRED_COLUMNS[2:]},
+                "answers": answers,
+            })
+    overlap = set(catalog) & set(REQUIRED_COLUMNS)
+    if overlap:
+        raise SchemaError(f"feature catalog collides with required columns: {sorted(overlap)}")
+    seen = set()
+    for r in records:
+        key = (r["trial_id"], r["juror_id"])
+        if key in seen:
+            raise ParseError(f"duplicate juror_id {key[1]!r} within trial {key[0]!r}")
+        seen.add(key)
+    return records
+
+
+def table_from_records(records, catalog):
+    """A JurorTable from reference_load_csv-style records (an answer a record
+    does not list is missing)."""
+    from strikeaudit.dataset import JurorTable
+
+    answers = [[-1 if r["answers"].get(c) is None else int(r["answers"][c]) for c in catalog]
+               for r in records]
+    return JurorTable(catalog, *([r[c] for r in records] for c in REQUIRED_COLUMNS), answers)
+
+
+def table_records(table) -> list[dict]:
+    """The rows of a JurorTable as reference_load_csv-style records."""
+    return [
+        {
+            "trial_id": str(table.trial_id[i]),
+            "juror_id": str(table.juror_id[i]),
+            **{c: bool(getattr(table, c)[i]) for c in REQUIRED_COLUMNS[2:]},
+            "answers": {name: None if table.answers[i, j] < 0 else bool(table.answers[i, j])
+                        for j, name in enumerate(table.feature_catalog)},
+        }
+        for i in range(len(table))
+    ]
+
+
+def reference_answer_matrix(records, columns):
+    """(x, is_black, struck, complete) from records, one cell at a time: a
+    missing answer reads as 0, and a complete row answers every column."""
+    x = np.array([[float(r["answers"].get(c) or 0) for c in columns] for r in records])
+    complete = [all(r["answers"].get(c) is not None for c in columns) for r in records]
+    return (
+        x.reshape(len(records), len(columns)),
+        np.array([r["is_black"] for r in records], dtype=bool),
+        np.array([r["struck_by_state"] for r in records], dtype=bool),
+        np.array(complete, dtype=bool),
+    )
+
+
+def reference_build_matrix(records, catalog, missing_policy):
+    """(x, columns, y, dropped columns) of build_matrix, from records: is_black
+    first, then the catalog; drop_row keeps complete rows; constant columns
+    go. None when no row is left."""
+    rows = [r for r in records
+            if missing_policy == "as_no" or all(r["answers"].get(c) is not None for c in catalog)]
+    if not rows:
+        return None
+    names = ("is_black", *catalog)
+    full = [[float(r["is_black"])] + [float(r["answers"].get(c) or 0) for c in catalog]
+            for r in rows]
+    constant = {j for j in range(len(names)) if len({row[j] for row in full}) == 1}
+    keep = [j for j in range(len(names)) if j not in constant]
+    return (
+        np.array([[row[j] for j in keep] for row in full]).reshape(len(rows), len(keep)),
+        tuple(names[j] for j in keep),
+        np.array([int(r["struck_by_state"]) for r in rows]),
+        tuple(names[j] for j in sorted(constant)),
     )

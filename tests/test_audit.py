@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,6 @@ from strikeaudit.audit import (
 )
 from strikeaudit.dataset import (
     FeatureMatrix,
-    JurorRecord,
-    JurorTable,
     split,
     synth_generate,
     write_csv,
@@ -26,7 +26,7 @@ from strikeaudit.dataset import (
 from strikeaudit.errors import SchemaError, StageError, StrikeAuditError
 from strikeaudit.tree import tree_from_json
 
-from oracles import fisher_two_sided_exact
+from oracles import fisher_two_sided_exact, table_from_records
 from test_dataset import paper_shaped_config
 from test_tree import paper_tree
 
@@ -37,12 +37,12 @@ def records_for_leaf(prefix, answers, n_black, struck_black, n_nonblack, struck_
     """Jurors that all route to one leaf of the paper tree."""
     out = []
     for i in range(n_black):
-        out.append(JurorRecord(
+        out.append(dict(
             trial_id="t1", juror_id=f"{prefix}b{i}", is_black=True,
             struck_by_state=i < struck_black, eligible=True, answers=dict(answers),
         ))
     for i in range(n_nonblack):
-        out.append(JurorRecord(
+        out.append(dict(
             trial_id="t1", juror_id=f"{prefix}n{i}", is_black=False,
             struck_by_state=i < struck_nonblack, eligible=True, answers=dict(answers),
         ))
@@ -58,12 +58,16 @@ LEAF_ANSWERS = {
 }
 
 
-def five_leaf_table(knows_def_counts=(20, 17, 40, 8), null_counts=(10, 5, 20, 10)):
+def five_leaf_records(knows_def_counts=(20, 17, 40, 8), null_counts=(10, 5, 20, 10)):
     records = []
     for leaf, answers in LEAF_ANSWERS.items():
         counts = knows_def_counts if leaf == "knows_def" else null_counts
         records.extend(records_for_leaf(leaf, answers, *counts))
-    return JurorTable(records=records, feature_catalog=TREE_FEATURES)
+    return records
+
+
+def five_leaf_table(**counts):
+    return table_from_records(five_leaf_records(**counts), TREE_FEATURES)
 
 
 class TestLeafDisparity:
@@ -100,7 +104,7 @@ class TestLeafDisparity:
                 records.extend(records_for_leaf(leaf, answers, 15, 5, 0, 0))
             else:
                 records.extend(records_for_leaf(leaf, answers, 10, 5, 20, 10))
-        table = JurorTable(records=records, feature_catalog=TREE_FEATURES)
+        table = table_from_records(records, TREE_FEATURES)
         findings = leaf_disparity(paper_tree(), table)
         flagged = [f for f in findings if f.skipped]
         assert len(flagged) == 1
@@ -114,13 +118,13 @@ class TestLeafDisparity:
     def test_findings_partition_the_table(self):
         table = five_leaf_table()
         findings = leaf_disparity(paper_tree(), table)
-        assert sum(f.n_black + f.n_nonblack for f in findings) == len(table.records)
+        assert sum(f.n_black + f.n_nonblack for f in findings) == len(table.is_black)
 
     def test_missing_answers_route_as_no(self):
         records = records_for_leaf("x", {"accused": None, "know_def": None,
                                          "fam_accused": None, "death_hesitation": None},
                                    10, 5, 12, 6)
-        table = JurorTable(records=records, feature_catalog=TREE_FEATURES)
+        table = table_from_records(records, TREE_FEATURES)
         findings = leaf_disparity(paper_tree(), table)
         remainder = {f.path: f for f in findings}[
             ("accused = no", "know_def = no", "fam_accused = no", "death_hesitation = no")
@@ -131,15 +135,15 @@ class TestLeafDisparity:
         # Without the check every juror reads know_def = no: the biased leaf
         # goes untested and its jurors inflate the know_def = no branch.
         catalog = tuple(c for c in TREE_FEATURES if c != "know_def")
-        records = [replace(r, answers={c: r.answers[c] for c in catalog})
-                   for r in five_leaf_table().records]
+        records = [{**r, "answers": {c: r["answers"][c] for c in catalog}}
+                   for r in five_leaf_records()]
         with pytest.raises(SchemaError, match="know_def"):
-            leaf_disparity(paper_tree(), JurorTable(records=records, feature_catalog=catalog))
+            leaf_disparity(paper_tree(), table_from_records(records, catalog))
 
     def test_json_round_trip(self):
         # no non-black juror in the remainder leaf, so its test is skipped
-        records = [r for r in five_leaf_table().records if not r.juror_id.startswith("remaindern")]
-        table = JurorTable(records=records, feature_catalog=TREE_FEATURES)
+        records = [r for r in five_leaf_records() if not r["juror_id"].startswith("remaindern")]
+        table = table_from_records(records, TREE_FEATURES)
         findings = leaf_disparity(paper_tree(), table)
         assert any(f.skipped for f in findings) and any(f.significant for f in findings)
         for f in findings:
@@ -160,27 +164,27 @@ class TestDisparityProperties:
     def test_findings_partition_rows_and_ignore_record_order(self, seed, n):
         rng = np.random.default_rng(seed)
         records = [
-            JurorRecord(
+            dict(
                 trial_id="t1", juror_id=f"j{i}", is_black=bool(rng.random() < 0.5),
                 struck_by_state=bool(rng.random() < 0.4), eligible=True,
                 answers={c: (None, False, True)[rng.integers(3)] for c in TREE_FEATURES},
             )
             for i in range(n)
         ]
-        findings = leaf_disparity(paper_tree(), JurorTable(records, TREE_FEATURES))
+        findings = leaf_disparity(paper_tree(), table_from_records(records, TREE_FEATURES))
         # Each juror is counted in the one leaf whose path it satisfies, with
         # a missing answer read as no.
         for f in findings:
             conditions = [c.split(" = ") for c in f.path]
             here = [r for r in records
-                    if all(bool(r.answers[name]) == (value == "yes") for name, value in conditions)]
-            black = [r for r in here if r.is_black]
+                    if all(bool(r["answers"][name]) == (value == "yes") for name, value in conditions)]
+            black = [r for r in here if r["is_black"]]
             assert (f.n_black, f.n_nonblack) == (len(black), len(here) - len(black))
-            assert f.struck_black == sum(r.struck_by_state for r in black)
-            assert f.struck_nonblack == sum(r.struck_by_state for r in here) - f.struck_black
+            assert f.struck_black == sum(r["struck_by_state"] for r in black)
+            assert f.struck_nonblack == sum(r["struck_by_state"] for r in here) - f.struck_black
         assert sum(f.n_black + f.n_nonblack for f in findings) == n
         shuffled = [records[i] for i in rng.permutation(n)]
-        assert leaf_disparity(paper_tree(), JurorTable(shuffled, TREE_FEATURES)) == findings
+        assert leaf_disparity(paper_tree(), table_from_records(shuffled, TREE_FEATURES)) == findings
 
 
 def race_only_matrix(seed, n=3000, p_noise=5):
@@ -246,6 +250,42 @@ def disparity_audit_config(tmp_path, seed=0, n=900):
         alpha_grid=(0.01,),
         min_leaf=10,
     )
+
+
+def _renamed(doc, names):
+    """doc with every column name, alone or in an "name = yes/no" condition,
+    mapped through names."""
+    if isinstance(doc, dict):
+        return {key: _renamed(value, names) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(value, names) for value in doc]
+    if isinstance(doc, str):
+        name, sep, rest = doc.partition(" = ")
+        return names.get(name, name) + sep + rest
+    return doc
+
+
+class TestRenamingProperty:
+    @pytest.fixture(scope="class")
+    def audited(self, tmp_path_factory):
+        cfg = disparity_audit_config(tmp_path_factory.mktemp("rename"), seed=2, n=600)
+        return cfg, run_audit(cfg).to_json()
+
+    # Letters a-j and "_" spell no required column and no race feature name.
+    @given(st.lists(st.text(alphabet="abcdefghij_", min_size=1, max_size=8),
+                    min_size=4, max_size=4, unique=True))
+    @settings(max_examples=15, deadline=None)
+    def test_renaming_catalog_renames_report_and_nothing_else(self, audited, new_names):
+        cfg, doc = audited
+        names = dict(zip(cfg.catalog, new_names))
+        path = Path(cfg.input_path).with_name("renamed.csv")
+        header, body = Path(cfg.input_path).read_text().split("\n", 1)
+        path.write_text(",".join(names.get(c, c) for c in header.split(",")) + "\n" + body)
+        renamed = run_audit(replace(cfg, input_path=str(path), catalog=tuple(new_names))).to_json()
+        want = _renamed(doc, names)
+        want["provenance"]["settings"]["input_path"] = str(path)
+        want["provenance"]["dataset_digest"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert json.dumps(renamed) == json.dumps(want)
 
 
 class TestRunAudit:

@@ -257,6 +257,20 @@ class TestExitCodes:
         assert main([command, *flags, flag, value]) == 2
         assert field in capsys.readouterr().err
 
+    def test_duplicate_header_column_is_data_error(self, workdir, capsys):
+        lines = workdir["data"].read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\r\n").split(",")
+        data = workdir["root"] / "duplicate_header.csv"
+        # the last column named again: the old reader took the copy's values
+        data.write_text("".join([",".join(header + header[-1:]) + "\r\n",
+                                 *(line.rstrip("\r\n") + ",1\r\n" for line in lines[1:])]))
+        out = workdir["root"] / "duplicate_header_out"
+        assert main([
+            "ofs", "--input", str(data), "--catalog", str(workdir["catalog"]), "--out", str(out),
+            *FAST_FLAGS,
+        ]) == 2
+        assert f"column {header[-1]!r} appears more than once" in capsys.readouterr().err
+
     def test_report_missing_key_is_data_error(self, workdir, capsys):
         doc = workdir["root"] / "empty_report.json"
         doc.write_text("{}")

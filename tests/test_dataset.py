@@ -1,9 +1,14 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strikeaudit.dataset import (
+    MISSING_POLICIES,
+    REQUIRED_COLUMNS,
     FeatureMatrix,
-    JurorRecord,
     JurorTable,
     SplitSpec,
     SynthConfig,
@@ -21,19 +26,28 @@ from strikeaudit.errors import (
     ParseError,
     SchemaError,
     StratificationError,
+    StrikeAuditError,
 )
 from strikeaudit.stats import ContingencyTable, fisher_exact
 
+from oracles import (
+    reference_answer_matrix,
+    reference_build_matrix,
+    reference_load_csv,
+    table_from_records,
+    table_records,
+)
+
 
 def make_record(i, trial="t1", black=False, struck=False, eligible=True, answers=None):
-    return JurorRecord(
-        trial_id=trial,
-        juror_id=f"j{i}",
-        is_black=black,
-        struck_by_state=struck,
-        eligible=eligible,
-        answers=answers or {},
-    )
+    return {
+        "trial_id": trial,
+        "juror_id": f"j{i}",
+        "is_black": black,
+        "struck_by_state": struck,
+        "eligible": eligible,
+        "answers": answers or {},
+    }
 
 
 CATALOG = ("accused", "know_def", "medical")
@@ -50,7 +64,7 @@ def small_table():
         make_record(3, struck=True,
                     answers={"accused": True, "know_def": True, "medical": False}),
     ]
-    return JurorTable(records=records, feature_catalog=CATALOG)
+    return table_from_records(records, CATALOG)
 
 
 class TestCsv:
@@ -59,7 +73,7 @@ class TestCsv:
         path = tmp_path / "jurors.csv"
         write_csv(table, path)
         back = load_csv(path, CATALOG)
-        assert back.records == table.records
+        assert table_records(back) == table_records(table)
         assert back.feature_catalog == table.feature_catalog
 
     def test_three_rows_no_missing(self, tmp_path):
@@ -70,7 +84,7 @@ class TestCsv:
         )
         table = load_csv(path, ("accused",))
         assert len(table) == 3
-        assert all(v is not None for r in table.records for v in r.answers.values())
+        assert table.answers.tolist() == [[1], [0], [0]]
 
     def test_empty_cell_maps_to_missing(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -80,7 +94,7 @@ class TestCsv:
         )
         table = load_csv(path, ("medical",))
         assert len(table) == 1
-        assert table.records[0].answers["medical"] is None
+        assert table.answers.tolist() == [[-1]]
 
     def test_missing_required_column_is_schema_error(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -102,7 +116,7 @@ class TestCsv:
             "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
             "t1,j1,0,1,1,2\n"
         )
-        with pytest.raises(ParseError, match="row 2.*accused"):
+        with pytest.raises(ParseError, match="line 2.*accused"):
             load_csv(path, ("accused",))
 
     def test_duplicate_juror_within_trial_rejected(self, tmp_path):
@@ -114,19 +128,171 @@ class TestCsv:
         with pytest.raises(ParseError, match="duplicate"):
             load_csv(path, ("accused",))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,1,1\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert table_records(load_csv(marked, ("accused",))) == table_records(
+            load_csv(plain, ("accused",))
+        )
+
+    def test_duplicate_header_column_is_schema_error(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused,accused\n"
+            "t1,j1,0,1,1,1,0\n"
+        )
+        with pytest.raises(SchemaError, match="'accused' appears more than once"):
+            load_csv(path, ("accused",))
+
+    def test_error_names_file_line_after_blank_line(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            "t1,j1,0,1,1,1\n"
+            "\n"
+            "t1,j2,0,1,1,2\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 4, column 'accused': expected 0 or 1, got '2'$"):
+            load_csv(path, ("accused",))
+
+    def test_error_names_file_line_after_quoted_newline(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            't1,"j\n1",0,1,1,1\n'
+            "t1,j2,0,x,1,0\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 4, column 'struck_by_state'"):
+            load_csv(path, ("accused",))
+
+    def test_short_row_names_its_field_count(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            "t1,j1,0,1,1,1\n"
+            "t1,j2,0,1\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 3 has 4 fields, header has 6$"):
+            load_csv(path, ("accused",))
+
+    def test_bad_cell_before_short_row_is_reported_first(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            "t1,j1,0,1,,1\n"
+            "t1,j2\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 2, column 'eligible': .* got ''$"):
+            load_csv(path, ("accused",))
+
+
+@st.composite
+def juror_files(draw):
+    """(file bytes, catalog): a header in random order with an unused column,
+    ids that repeat across trials (some quoted, one holding a newline, one
+    that is another id plus a NUL), flags, answers 1/0/"", and now and then
+    a blank line, a malformed cell, a short row, a byte-order mark or a
+    catalog name that collides with a flag."""
+    catalog = draw(st.permutations(["a1", "a2", "a3"]))[: draw(st.integers(1, 3))]
+    if draw(st.integers(0, 9)) == 0:
+        catalog.append("eligible")
+    header = draw(st.permutations(sorted({*REQUIRED_COLUMNS, *catalog, "note"})))
+    cells = {
+        "trial_id": st.sampled_from(["t1", "t2"]),
+        "juror_id": st.sampled_from([f"j{i}" for i in range(12)] + ["j,12", "j\n13", "j1\0"]),
+        "note": st.text(alphabet="ab \n", max_size=3),
+        **{c: st.sampled_from(["0", "1"]) for c in REQUIRED_COLUMNS[2:]},
+        **{c: st.sampled_from(["1", "0", ""]) for c in ("a1", "a2", "a3")},
+    }
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            out.write("\r\n")
+        row = [draw(cells[c]) for c in header]
+        fault = draw(st.integers(0, 29))
+        if fault < 2:  # a cell outside its alphabet ("" is one for a flag)
+            row[draw(st.integers(0, len(row) - 1))] = ("", "2")[fault]
+        elif fault == 2:
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        writer.writerow(row)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + out.getvalue()).encode("utf-8"), tuple(catalog)
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except StrikeAuditError as exc:
+        return None, exc
+
+
+class TestLoaderOracle:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle") / "jurors.csv"
+
+    @given(juror_files())
+    @settings(max_examples=300, deadline=None)
+    def test_columnar_loader_matches_reference(self, path, drawn):
+        data, catalog = drawn
+        path.write_bytes(data)
+        records, want_exc = _outcome(lambda: reference_load_csv(path, catalog))
+        table, exc = _outcome(lambda: load_csv(path, catalog))
+        if want_exc is not None:
+            # the same fault: same class, same message naming line and column
+            assert (type(exc), str(exc)) == (type(want_exc), str(want_exc))
+            return
+        assert exc is None
+        assert table_records(table) == records
+        columns = catalog[::-1]
+        for got, want in zip(answer_matrix(table, columns), reference_answer_matrix(records, columns)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for policy in MISSING_POLICIES:
+            want = reference_build_matrix(records, catalog, policy)
+            if want is None:
+                with pytest.raises(DegenerateDataError):
+                    build_matrix(table, policy)
+                continue
+            m = build_matrix(table, policy)
+            assert np.array_equal(m.x, want[0]) and m.columns == want[1]
+            assert np.array_equal(m.y, want[2]) and m.dropped_columns == want[3]
+
+
+class TestJurorTable:
+    def test_columns_are_coerced(self):
+        table = JurorTable(("accused",), ["t1", "t1"], ["j1", "j2"], [1, 0], [0, 1], [1, 1], [1, -1])
+        assert table.is_black.dtype == bool and table.is_black.tolist() == [True, False]
+        assert table.answers.dtype == np.int8 and table.answers.tolist() == [[1], [-1]]
+        assert len(table) == 2
+
+    def test_column_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="one entry per juror"):
+            JurorTable(("accused",), ["t1"], ["j1", "j2"], [True], [False], [True], [[1]])
+
+    def test_answer_outside_codes_rejected(self):
+        with pytest.raises(ValueError, match="answers"):
+            JurorTable(("accused",), ["t1"], ["j1"], [True], [False], [True], [[2]])
+
+    def test_catalog_colliding_with_required_column_rejected(self):
+        with pytest.raises(SchemaError, match="eligible"):
+            JurorTable(("eligible",), ["t1"], ["j1"], [True], [False], [True], [[1]])
+
 
 class TestFilterEligible:
     def test_all_eligible_identity(self):
-        table = JurorTable(
-            records=[make_record(i, answers={"accused": False}) for i in range(3)],
-            feature_catalog=("accused",),
+        table = table_from_records(
+            [make_record(i, answers={"accused": False}) for i in range(3)], ("accused",)
         )
-        assert filter_eligible(table).records == table.records
+        assert table_records(filter_eligible(table)) == table_records(table)
 
     def test_none_eligible_empty(self):
-        table = JurorTable(
-            records=[make_record(i, eligible=False, answers={}) for i in range(3)],
-            feature_catalog=("accused",),
+        table = table_from_records(
+            [make_record(i, eligible=False, answers={}) for i in range(3)], ("accused",)
         )
         assert len(filter_eligible(table)) == 0
 
@@ -134,9 +300,9 @@ class TestFilterEligible:
         records = [
             make_record(i, eligible=(i % 2 == 0), answers={}) for i in range(8)
         ]
-        table = JurorTable(records=records, feature_catalog=("accused",))
-        kept = filter_eligible(table).records
-        assert [r.juror_id for r in kept] == [f"j{i}" for i in range(0, 8, 2)]
+        table = table_from_records(records, ("accused",))
+        kept = filter_eligible(table)
+        assert kept.juror_id.tolist() == [f"j{i}" for i in range(0, 8, 2)]
 
 
 class TestAnswerMatrix:
@@ -148,8 +314,8 @@ class TestAnswerMatrix:
         assert complete.tolist() == [True, False, True, True]
 
     def test_unanswered_key_is_missing(self):
-        table = JurorTable(records=[make_record(0, answers={"accused": True})],
-                           feature_catalog=("accused", "know_def"))
+        table = table_from_records([make_record(0, answers={"accused": True})],
+                                   ("accused", "know_def"))
         x, _, _, complete = answer_matrix(table, ("accused", "know_def"))
         assert x.tolist() == [[1.0, 0.0]]
         assert complete.tolist() == [False]
@@ -159,7 +325,7 @@ class TestAnswerMatrix:
             answer_matrix(small_table(), ("accused", "fam_accused"))
 
     def test_empty_table(self):
-        x, is_black, struck, complete = answer_matrix(JurorTable([], CATALOG), CATALOG)
+        x, is_black, struck, complete = answer_matrix(table_from_records([], CATALOG), CATALOG)
         assert x.shape == (0, 3) and is_black.size == struck.size == complete.size == 0
 
 
@@ -185,7 +351,7 @@ class TestBuildMatrix:
 
     def test_drop_row_all_dropped_is_degenerate(self):
         records = [make_record(0, answers={"accused": None})]
-        table = JurorTable(records=records, feature_catalog=("accused",))
+        table = table_from_records(records, ("accused",))
         with pytest.raises(DegenerateDataError):
             build_matrix(table, "drop_row")
 
@@ -195,14 +361,14 @@ class TestBuildMatrix:
                         answers={"accused": bool(i % 2), "know_def": False})
             for i in range(6)
         ]
-        table = JurorTable(records=records, feature_catalog=("accused", "know_def"))
+        table = table_from_records(records, ("accused", "know_def"))
         m = build_matrix(table)
         assert "know_def" in m.dropped_columns
         assert "is_black" in m.dropped_columns  # constant too in this table
         assert "know_def" not in m.columns
 
     def test_empty_table_rejected(self):
-        table = JurorTable(records=[], feature_catalog=("accused",))
+        table = table_from_records([], ("accused",))
         with pytest.raises(DegenerateDataError):
             build_matrix(table)
 
@@ -212,7 +378,7 @@ class TestBuildMatrix:
                         answers={"same_race": bool(i % 2), "accused": i < 3})
             for i in range(6)
         ]
-        table = JurorTable(records=records, feature_catalog=("same_race", "accused"))
+        table = table_from_records(records, ("same_race", "accused"))
         m = build_matrix(table)
         names = {m.columns[j] for j in m.race_columns}
         assert names == {"is_black", "same_race"}
@@ -337,16 +503,16 @@ def paper_shaped_config(n, rates=None, black_fraction=0.5):
 def leaf_counts(table, cfg):
     """(black struck/total, nonblack struck/total) per leaf id."""
     out = {leaf: [0, 0, 0, 0] for leaf in cfg.tree_spec.leaves()}
-    for r in table.records:
+    for r in table_records(table):
         node = cfg.tree_spec
         while not node.is_leaf:
-            node = node.right if r.answers[node.feature] else node.left
+            node = node.right if r["answers"][node.feature] else node.left
         tally = out[node.leaf_id]
-        if r.is_black:
-            tally[0] += int(r.struck_by_state)
+        if r["is_black"]:
+            tally[0] += int(r["struck_by_state"])
             tally[1] += 1
         else:
-            tally[2] += int(r.struck_by_state)
+            tally[2] += int(r["struck_by_state"])
             tally[3] += 1
     return out
 
@@ -362,7 +528,7 @@ class TestSynthGenerate:
         cfg = paper_shaped_config(500)
         a = synth_generate(cfg, seed=9)
         b = synth_generate(cfg, seed=9)
-        assert a.records == b.records
+        assert table_records(a) == table_records(b)
 
     def test_disparate_leaf_rates_recovered(self):
         # the knows-defendant leaf planted at 85% black vs 20% non-black
@@ -397,9 +563,9 @@ class TestSynthGenerate:
         )
         table = synth_generate(cfg, seed=21)
         by_race = {True: [0, 0], False: [0, 0]}
-        for r in table.records:
-            by_race[r.is_black][0] += int(r.answers["know_def"])
-            by_race[r.is_black][1] += 1
+        for r in table_records(table):
+            by_race[r["is_black"]][0] += int(r["answers"]["know_def"])
+            by_race[r["is_black"]][1] += 1
         assert by_race[True][0] / by_race[True][1] == pytest.approx(0.6, abs=0.02)
         assert by_race[False][0] / by_race[False][1] == pytest.approx(0.1, abs=0.02)
 
@@ -417,7 +583,7 @@ class TestSynthGenerate:
         cfg = paper_shaped_config(100)
         back = SynthConfig.from_json(cfg.to_json())
         assert back.to_json() == cfg.to_json()
-        assert synth_generate(back, 5).records == synth_generate(cfg, 5).records
+        assert table_records(synth_generate(back, 5)) == table_records(synth_generate(cfg, 5))
 
     def test_null_rates_do_not_plant_bias(self):
         # equal rates for both races: Fisher p-values behave like a null.
@@ -431,10 +597,11 @@ class TestSynthGenerate:
         significant = 0
         for seed in range(100):
             table = synth_generate(cfg, seed=seed)
-            a = sum(r.is_black and r.struck_by_state for r in table.records)
-            b = sum(r.is_black and not r.struck_by_state for r in table.records)
-            c = sum((not r.is_black) and r.struck_by_state for r in table.records)
-            d = sum((not r.is_black) and not r.struck_by_state for r in table.records)
+            black, struck = table.is_black, table.struck_by_state
+            a = int(np.sum(black & struck))
+            b = int(np.sum(black & ~struck))
+            c = int(np.sum(~black & struck))
+            d = int(np.sum(~black & ~struck))
             if fisher_exact(ContingencyTable(a, b, c, d)) < 0.05:
                 significant += 1
         assert significant <= 10
