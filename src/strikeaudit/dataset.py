@@ -54,6 +54,9 @@ class JurorTable:
             raise SchemaError(
                 f"feature catalog collides with required columns: {sorted(overlap)}"
             )
+        for i, name in enumerate(self.feature_catalog):
+            if name in self.feature_catalog[:i]:
+                raise SchemaError(f"feature catalog names column {name!r} more than once")
         for name in REQUIRED_COLUMNS:
             dtype = bool if name in FLAG_COLUMNS else object
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))

@@ -17,20 +17,6 @@ from .errors import UndefinedMetricError, UndefinedTestError
 # two-sided tail sum; guards float comparison of mathematically equal masses.
 POINT_PROB_SLACK = 1e-7
 
-# Log-factorial table, grown on demand and never shrunk. Re-assignment is
-# atomic, so concurrent first use at worst recomputes the same values.
-_log_fact = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    global _log_fact
-    if n >= _log_fact.size:
-        start = _log_fact.size
-        steps = np.log(np.arange(start, n + 1, dtype=float))
-        _log_fact = np.concatenate([_log_fact, _log_fact[-1] + np.cumsum(steps)])
-    return _log_fact
-
-
 @dataclass(frozen=True)
 class ContingencyTable:
     """2x2 counts: rows = (black, non-black), columns = (struck, not struck)."""
@@ -74,7 +60,7 @@ def fisher_exact(t: ContingencyTable) -> float:
             f"degenerate margin in table ({t.a}, {t.b}, {t.c}, {t.d})"
         )
     n = t.total
-    lf = _log_factorials(n)
+    lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])  # lf[i] = log(i!)
     # log P(X = x) for x = count in the (black, struck) cell, margins fixed.
     lo = max(0, c1 - r2)
     hi = min(r1, c1)

@@ -219,14 +219,11 @@ def _best_subset_cached(
     allowed: tuple[int, ...],
     k: int,
     budget: int,
-    incumbent: tuple[frozenset, float] | None = None,
 ) -> SubsetResult:
     if k < 0 or k > len(allowed):
         raise ValueError(f"k must be in [0, {len(allowed)}], got {k}")
-    support, obj = _forward(cache, allowed, k)
-    if incumbent is not None and incumbent[1] < obj:
-        support, obj = incumbent
-    support, obj, certified = _branch_and_bound(cache, allowed, k, budget, (support, obj))
+    incumbent = _forward(cache, allowed, k)
+    support, obj, certified = _branch_and_bound(cache, allowed, k, budget, incumbent)
     # Refit the winner from zeros so the returned model honors the public
     # fit contract regardless of warm starts used during the search.
     model = cache.cold(support)
@@ -259,13 +256,8 @@ def best_subset(
 def _search_path(
     cache: _FitCache, allowed: tuple[int, ...], k_max: int, budget: int
 ) -> list[SubsetResult]:
-    """Best subset of each size k = 1..k_max on the cache's rows; every
-    search starts from the previous size's winner."""
-    results: list[SubsetResult] = []
-    for k in range(1, k_max + 1):
-        incumbent = (frozenset(results[-1].support), results[-1].objective) if results else None
-        results.append(_best_subset_cached(cache, allowed, k, budget, incumbent))
-    return results
+    """Best subset of each size k = 1..k_max on the cache's rows."""
+    return [_best_subset_cached(cache, allowed, k, budget) for k in range(1, k_max + 1)]
 
 
 def subset_path(

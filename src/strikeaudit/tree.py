@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .dataset import FeatureMatrix, RACE_FEATURE_NAMES, stratified_folds
-from .errors import ContractViolationError, DegenerateDataError, reading_document
+from .errors import ContractViolationError, DegenerateDataError, SchemaError, reading_document
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,8 @@ def tree_to_json(tree: Tree) -> dict:
 
 
 def tree_from_json(obj: dict) -> Tree:
-    """The tree of a tree_to_json document; a missing key is a SchemaError."""
+    """The tree of a tree_to_json document; a missing key, or leaf counts
+    that no fitted tree has, is a SchemaError."""
     nodes: list = []
     max_depth = 0
 
@@ -273,7 +274,13 @@ def tree_from_json(obj: dict) -> Tree:
         nodes.append(None)
         if "leaf" in spec:
             max_depth = max(max_depth, depth)
-            nodes[idx] = Leaf(n=int(spec["leaf"]["n"]), n_struck=int(spec["leaf"]["n_struck"]))
+            n, n_struck = spec["leaf"]["n"], spec["leaf"]["n_struck"]
+            if not (type(n) is int and type(n_struck) is int and n >= 1 and 0 <= n_struck <= n):
+                raise SchemaError(
+                    f"tree document has a leaf with n={n!r}, n_struck={n_struck!r}; "
+                    "a fitted leaf has integers 0 <= n_struck <= n and n >= 1"
+                )
+            nodes[idx] = Leaf(n=n, n_struck=n_struck)
         else:
             feature = spec["feature"]
             if feature not in index:

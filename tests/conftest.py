@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -5,7 +7,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import strikeaudit
 from strikeaudit.dataset import FeatureMatrix
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run with ``args`` in a new interpreter that imports
+    this strikeaudit: a result there cannot depend on what the test process
+    computed before."""
+    env = dict(os.environ, PYTHONPATH=str(Path(strikeaudit.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def random_binary_matrix(seed, n, p, signal=None, intercept=-0.3):

@@ -26,6 +26,7 @@ from strikeaudit.dataset import (
 from strikeaudit.errors import SchemaError, StageError, StrikeAuditError
 from strikeaudit.tree import tree_from_json
 
+from conftest import fresh_python
 from oracles import fisher_two_sided_exact, table_from_records
 from test_dataset import paper_shaped_config
 from test_tree import paper_tree
@@ -307,6 +308,24 @@ class TestRunAudit:
         a = json.dumps(run_audit(cfg).to_json(), indent=2, sort_keys=True)
         b = json.dumps(run_audit(cfg).to_json(), indent=2, sort_keys=True)
         assert a == b
+
+    def test_report_bytes_ignore_earlier_audits_in_the_process(self, tmp_path):
+        code = (
+            "import json, sys\n"
+            "from strikeaudit.audit import AuditConfig, json_text, run_audit\n"
+            "for path in sys.argv[1:]:\n"
+            "    doc = run_audit(AuditConfig.from_json(json.loads(open(path).read()))).to_json()\n"
+            "print(json_text(doc))\n"
+        )
+        paths = []
+        for seed, n in ((1, 100), (2, 1000)):
+            (tmp_path / str(seed)).mkdir()
+            cfg = disparity_audit_config(tmp_path / str(seed), seed=seed, n=n)
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(cfg.to_json()))
+            paths.append(str(path))
+        earlier, audited = paths
+        assert fresh_python(code, audited) == fresh_python(code, earlier, audited)
 
     def test_digest_tracks_input_bytes(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=5, n=900)

@@ -271,6 +271,19 @@ class TestExitCodes:
         ]) == 2
         assert f"column {header[-1]!r} appears more than once" in capsys.readouterr().err
 
+    def test_catalog_naming_a_column_twice_is_data_error(self, workdir, capsys):
+        catalog = workdir["root"] / "duplicate_catalog.json"
+        catalog.write_text(json.dumps(
+            ["accused", "know_def", "accused", "fam_accused", "death_hesitation"]
+        ))
+        out = workdir["root"] / "duplicate_catalog_out"
+        assert main([
+            "audit", "--input", str(workdir["data"]), "--catalog", str(catalog),
+            "--out", str(out), *FAST_FLAGS, *FAST_TREE_FLAGS,
+        ]) == 2
+        assert "'accused' more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_missing_key_is_data_error(self, workdir, capsys):
         doc = workdir["root"] / "empty_report.json"
         doc.write_text("{}")
@@ -287,6 +300,38 @@ class TestExitCodes:
             "--tree", str(tree_doc), "--out", str(workdir["root"] / "disp_no_n_struck"),
         ]) == 2
         assert "'n_struck'" in capsys.readouterr().err
+
+    def test_report_with_empty_leaf_is_data_error(self, workdir, capsys):
+        flags, out = io_flags(workdir, "audit_empty_leaf")
+        assert main(["audit", *flags, "--seed", "7", *FAST_FLAGS, *FAST_TREE_FLAGS]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        node = doc["tree"]["root"]
+        while "leaf" not in node:
+            node = node["left"]
+        node["leaf"].update(n=0, n_struck=0)
+        bad = workdir["root"] / "empty_leaf_report.json"
+        bad.write_text(json.dumps(doc))
+        rendered = workdir["root"] / "empty_leaf_rendered"
+        assert main(["report", "--report", str(bad), "--out", str(rendered)]) == 2
+        assert "n=0" in capsys.readouterr().err
+        assert not rendered.exists()
+
+    @pytest.mark.parametrize("n, n_struck", [(0, 0), (5, 6), (5, -1), (5.0, 2), ("5", 2)])
+    def test_disparity_tree_with_impossible_leaf_is_data_error(self, workdir, capsys,
+                                                               n, n_struck):
+        tree_doc = workdir["root"] / "tree_impossible_leaf.json"
+        tree_doc.write_text(json.dumps({"columns": ["accused"], "root": {
+            "feature": "accused",
+            "left": {"leaf": {"n": n, "n_struck": n_struck}},
+            "right": {"leaf": {"n": 5, "n_struck": 2}},
+        }}))
+        out = workdir["root"] / "disp_impossible_leaf"
+        assert main([
+            "disparity", "--input", str(workdir["data"]), "--catalog", str(workdir["catalog"]),
+            "--tree", str(tree_doc), "--out", str(out),
+        ]) == 2
+        assert f"n={n!r}, n_struck={n_struck!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

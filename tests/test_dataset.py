@@ -147,6 +147,15 @@ class TestCsv:
         with pytest.raises(SchemaError, match="'accused' appears more than once"):
             load_csv(path, ("accused",))
 
+    def test_catalog_naming_a_column_twice_is_schema_error(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused,know_def\n"
+            "t1,j1,0,1,1,1,0\n"
+        )
+        with pytest.raises(SchemaError, match="'accused' more than once"):
+            load_csv(path, ("accused", "know_def", "accused"))
+
     def test_error_names_file_line_after_blank_line(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text(

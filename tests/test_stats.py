@@ -11,6 +11,7 @@ from strikeaudit.stats import (
     roc_points,
 )
 
+from conftest import fresh_python
 from oracles import auc_pairwise, fisher_two_sided_exact, holm_by_hand
 
 
@@ -44,6 +45,16 @@ class TestFisherExact:
             expected = float(fisher_two_sided_exact(int(a), int(b), int(c), int(d)))
             got = fisher_exact(ContingencyTable(int(a), int(b), int(c), int(d)))
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_same_float_whatever_was_tested_before(self):
+        code = (
+            "import sys\n"
+            "from strikeaudit.stats import ContingencyTable as T, fisher_exact\n"
+            "for size in map(int, sys.argv[1:]):\n"
+            "    fisher_exact(T(size // 4, size // 4, size // 4, size - 3 * (size // 4)))\n"
+            "print(repr(fisher_exact(T(400, 300, 200, 1500))))\n"
+        )
+        assert fresh_python(code) == fresh_python(code, "22", "220")
 
     def test_symmetry_under_row_and_column_swap(self):
         rng = np.random.default_rng(7)
