@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -165,7 +166,7 @@ class AuditConfig:
         # Checked once here, so that a malformed config file is a data error
         # and not a TypeError from deep inside a stage.
         def real(v):
-            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+            return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
         def listed(v, item):
             return isinstance(v, (list, tuple)) and all(map(item, v))
@@ -178,10 +179,11 @@ class AuditConfig:
             ("missing_policy", self.missing_policy in MISSING_POLICIES,
              f"one of {', '.join(MISSING_POLICIES)}"),
             ("ridge", self.ridge is None or real(self.ridge) and self.ridge >= 0,
-             "null or a number >= 0"),
-            ("fit_tolerance", real(self.fit_tolerance) and self.fit_tolerance > 0, "a number > 0"),
+             "null or a finite number >= 0"),
+            ("fit_tolerance", real(self.fit_tolerance) and self.fit_tolerance > 0,
+             "a finite number > 0"),
             ("alpha_grid", listed(self.alpha_grid, lambda a: real(a) and a >= 0)
-             and len(self.alpha_grid) > 0, "a non-empty list of numbers >= 0"),
+             and len(self.alpha_grid) > 0, "a non-empty list of finite numbers >= 0"),
             ("alpha_level", real(self.alpha_level) and 0 < self.alpha_level < 1,
              "a number in (0, 1)"),
         ]

@@ -34,10 +34,10 @@ class FitSettings:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be a finite number >= 0, got {self.ridge!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
 
     def resolve_ridge(self, n: int) -> float:
         return 1.0 / n if self.ridge is None else self.ridge

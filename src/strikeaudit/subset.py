@@ -3,11 +3,13 @@
 Branch-and-bound over include/exclude decisions. The bound at a node is the
 penalized likelihood of a fit on the union of all still-allowed features:
 restricting the support can only raise the optimal objective, so that fit
-lower-bounds every descendant, provided it converged. The incumbent comes
-from greedy forward selection. A result is certified optimal only when the
-search finished within its node budget, no node was dismissed on an
-unconverged fit, and the winner's fit converged. Also: the backward-stepwise
-baseline and the per-size importance profile.
+lower-bounds every descendant, provided it converged. The search starts
+with no best support and dives depth-first to a size-k support. Every fit
+starts from zeros, so a support's fit, and with it the search, depends only
+on the rows, the allowed columns and k. A result is certified optimal only
+when the search finished within its node budget, no node was dismissed on
+an unconverged fit, and the winner's fit converged. Also: the
+backward-stepwise baseline and the per-size importance profile.
 """
 
 from __future__ import annotations
@@ -65,59 +67,41 @@ class SubsetPath:
 
 
 class _FitCache:
-    """Memoized Newton fits on one row set: search fits (warm-started, so
-    their last bits depend on the start) and fits from zeros (a pure
-    function of the support). Both tables, which FitMemo shares between
-    calls, are keyed by the sorted support, which is the model's own support
-    tuple, so a key takes no memory of its own."""
+    """Memoized Newton fits from zeros on one row set. A fit is then a pure
+    function of the rows and the support, so the table, which FitMemo shares
+    between calls, cannot change a result. It is keyed by the sorted support,
+    which is the model's own support tuple, so a key takes no memory of its
+    own."""
 
     def __init__(self, m: FeatureMatrix, settings: FitSettings, counts: SearchCounts,
-                 tables: tuple[dict, dict] | None = None):
+                 models: dict | None = None):
         self.m = m
         self.settings = settings
         self.counts = counts
-        self._models, self._cold = tables if tables is not None else ({}, {})
+        self._models = {} if models is None else models
 
-    def _solve(self, ordered: tuple[int, ...], init=None) -> LogisticModel:
-        model = logreg.fit(self.m, ordered, self.settings, init=init)
-        self.counts.fits += 1
-        self.counts.unconverged += not model.diagnostics.converged
-        return model
-
-    def fit(self, support, warm_from: LogisticModel | None = None) -> LogisticModel:
+    def fit(self, support) -> LogisticModel:
         key = tuple(sorted(support))
         model = self._models.get(key)
         if model is not None:
             self.counts.memo_hits += 1
-        elif warm_from is None:
-            model = self._models[key] = self.cold(key)
         else:
-            known = dict(zip(warm_from.support, warm_from.beta))
-            init = np.array([warm_from.intercept] + [known.get(j, 0.0) for j in key])
-            model = self._models[key] = self._solve(key, init)
-        return model
-
-    def cold(self, support) -> LogisticModel:
-        """The fit of the support from zeros."""
-        key = tuple(sorted(support))
-        model = self._cold.get(key)
-        if model is not None:
-            self.counts.memo_hits += 1
-        else:
-            model = self._cold[key] = self._solve(key)
+            model = self._models[key] = logreg.fit(self.m, key, self.settings)
+            self.counts.fits += 1
+            self.counts.unconverged += not model.diagnostics.converged
         return model
 
 
 class FitMemo:
     """Newton fits shared by the subset_path calls on one training matrix
     (the same object) with one FitSettings, whatever their seed or excluded
-    columns: one pair of _FitCache tables per row set, keyed by the row
-    indices. It holds no row-subset matrix: each pass takes its rows
-    afresh, and the matrix goes when the pass ends."""
+    columns: one _FitCache table per row set, keyed by the row indices. It
+    holds no row-subset matrix: each pass takes its rows afresh, and the
+    matrix goes when the pass ends."""
 
     def __init__(self):
         self._owner: tuple[FeatureMatrix, FitSettings] | None = None
-        self._tables: dict[bytes | None, tuple[dict, dict]] = {}
+        self._tables: dict[bytes | None, dict] = {}
 
     def cache(self, train: FeatureMatrix, settings: FitSettings, rows, counts) -> _FitCache:
         """The fit cache of train's rows ``rows`` (all rows when None)."""
@@ -127,52 +111,30 @@ class FitMemo:
             raise ValueError("a FitMemo serves one training matrix and one FitSettings")
         m = train if rows is None else train.take_rows(rows)
         key = None if rows is None else rows.tobytes()
-        return _FitCache(m, settings, counts, self._tables.setdefault(key, ({}, {})))
-
-
-def _forward(cache: _FitCache, allowed: tuple[int, ...], k: int) -> tuple[frozenset, float]:
-    """Greedy forward selection to size k over the allowed columns."""
-    support: frozenset = frozenset()
-    model = cache.fit(support)
-    best_obj = model.diagnostics.final_nll
-    for _ in range(k):
-        best_j, best_val = None, best_obj
-        for j in allowed:
-            if j in support:
-                continue
-            val = cache.fit(support | {j}, warm_from=model).diagnostics.final_nll
-            if best_j is None or val < best_val:
-                best_j, best_val = j, val
-        if best_j is None:
-            break
-        support = support | {best_j}
-        model = cache.fit(support)
-        best_obj = best_val
-    return support, best_obj
+        return _FitCache(m, settings, counts, self._tables.setdefault(key, {}))
 
 
 def _branch_and_bound(
-    cache: _FitCache,
-    allowed: tuple[int, ...],
-    k: int,
-    budget: int,
-    incumbent: tuple[frozenset, float],
-) -> tuple[frozenset, float, bool]:
-    best_support, best_obj = incumbent
+    cache: _FitCache, allowed: tuple[int, ...], k: int, budget: int
+) -> tuple[frozenset, bool]:
+    best_support, best_obj = frozenset(), np.inf
     nodes = 0
     certified = True
 
-    def consider(support, warm_from):
+    def consider(support):
         # An unconverged fit's objective overstates the support's optimum, so
         # dismissing the support on it is not sound.
         nonlocal best_support, best_obj, certified
-        model = cache.fit(support, warm_from)
+        model = cache.fit(support)
         certified &= model.diagnostics.converged
         if model.diagnostics.final_nll < best_obj:
             best_support, best_obj = frozenset(support), model.diagnostics.final_nll
 
-    # Stack entries: (forced, allowed, bound, bound_model); include-children
-    # inherit the parent's bound, exclude-children are re-bounded on pop.
+    # Stack entries: (forced, allowed, bound, bound_model). An include-child
+    # has its parent's union of forced and allowed features, so it inherits
+    # the parent's bound and relaxation fit; an exclude-child is bounded on
+    # pop. Include-children are popped first, so the search dives to a size-k
+    # support before it backtracks.
     stack: list[tuple[frozenset, tuple[int, ...], float | None, LogisticModel | None]] = [
         (frozenset(), allowed, None, None)
     ]
@@ -184,34 +146,28 @@ def _branch_and_bound(
             certified = False
             break
         nodes += 1
-        slots = k - len(forced)
-        if slots <= 0 or not allowed:
-            consider(forced, bound_model)
-            continue
         if len(forced) + len(allowed) <= k:
-            consider(forced | set(allowed), bound_model)
+            consider(forced | set(allowed))
+            continue
+        if len(forced) == k:
+            consider(forced)
             continue
         if bound is None:
-            bound_model = cache.fit(forced | set(allowed), warm_from=bound_model)
+            bound_model = cache.fit(forced | set(allowed))
             # Only a converged fit attains the minimum over the union; an
             # unconverged one bounds nothing and never prunes.
             diag = bound_model.diagnostics
             bound = diag.final_nll if diag.converged else -np.inf
             if bound >= best_obj - _PRUNE_EPS:
                 continue
-        if slots == 1:
-            consider(forced, bound_model)
-            for u in allowed:
-                consider(forced | {u}, bound_model)
-            continue
         # Branch on the allowed feature with the largest coefficient in the
         # relaxation fit; ties go to the smaller index.
         coef = dict(zip(bound_model.support, np.abs(bound_model.beta)))
         u = max(allowed, key=lambda j: (coef.get(j, 0.0), -j))
         rest = tuple(j for j in allowed if j != u)
-        stack.append((forced, rest, None, bound_model))
+        stack.append((forced, rest, None, None))
         stack.append((forced | {u}, rest, bound, bound_model))
-    return best_support, best_obj, certified
+    return best_support, certified
 
 
 def _best_subset_cached(
@@ -222,11 +178,8 @@ def _best_subset_cached(
 ) -> SubsetResult:
     if k < 0 or k > len(allowed):
         raise ValueError(f"k must be in [0, {len(allowed)}], got {k}")
-    incumbent = _forward(cache, allowed, k)
-    support, obj, certified = _branch_and_bound(cache, allowed, k, budget, incumbent)
-    # Refit the winner from zeros so the returned model honors the public
-    # fit contract regardless of warm starts used during the search.
-    model = cache.cold(support)
+    support, certified = _branch_and_bound(cache, allowed, k, budget)
+    model = cache.fit(support)
     return SubsetResult(
         k=k,
         support=model.support,
@@ -246,8 +199,9 @@ def best_subset(
 
     certified_optimal is False when the node budget ran out, when a support
     was dismissed on an unconverged fit, or when the winner's fit did not
-    converge; the best support found (the forward-selection incumbent or
-    better) is returned either way.
+    converge; the best support found is returned either way. The search
+    dives to a size-k support first, so a budget of k + 1 nodes or more
+    always returns one; a smaller budget may return the empty support.
     """
     cache = _FitCache(m, settings, SearchCounts())
     return _best_subset_cached(cache, tuple(range(m.p)), k, budget)

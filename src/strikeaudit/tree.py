@@ -13,6 +13,7 @@ function of the data and the settings alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -30,8 +31,8 @@ class TreeSettings:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
 

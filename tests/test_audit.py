@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -377,20 +378,20 @@ class TestRunAudit:
 
     def test_each_problem_solved_once(self, tmp_path, monkeypatch):
         # A problem is the rows' targets and the support's named columns; it
-        # may be solved once warm-started and once from zeros, never more.
-        solved = {True: [], False: []}
+        # is solved from zeros, once.
+        solved = []
         real_fit = logreg.fit
 
         def recording_fit(m, support, settings=logreg.FitSettings(), init=None, **kwargs):
+            assert init is None
             columns = frozenset((m.columns[j], m.x[:, j].tobytes()) for j in support)
-            solved[init is None].append((m.y.tobytes(), columns))
-            return real_fit(m, support, settings, init=init, **kwargs)
+            solved.append((m.y.tobytes(), columns))
+            return real_fit(m, support, settings, **kwargs)
 
         monkeypatch.setattr(logreg, "fit", recording_fit)
         run_audit(disparity_audit_config(tmp_path, seed=12, n=900))
-        for from_zeros, problems in solved.items():
-            assert problems
-            assert len(set(problems)) == len(problems), f"from_zeros={from_zeros}"
+        assert solved
+        assert len(set(solved)) == len(solved)
 
     def test_config_json_round_trip(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=10, n=900)
@@ -402,9 +403,10 @@ class TestRunAudit:
         [
             ("k_max", "3"), ("k_max", 0), ("k_max", True), ("seed", -1), ("seed", 1.5),
             ("folds", 1), ("train_fraction", 1.0), ("train_fraction", "0.7"),
-            ("missing_policy", "zero"), ("ridge", -0.1), ("ridge", "1"),
-            ("fit_tolerance", 0), ("max_iterations", 0), ("node_budget", 0),
-            ("max_depth", 0), ("min_leaf", 0), ("alpha_grid", []),
+            ("missing_policy", "zero"), ("ridge", -0.1), ("ridge", "1"), ("ridge", math.inf),
+            ("fit_tolerance", 0), ("fit_tolerance", math.inf), ("max_iterations", 0),
+            ("node_budget", 0), ("max_depth", 0), ("min_leaf", 0), ("alpha_grid", []),
+            ("alpha_grid", [math.inf]),
             ("alpha_grid", [0.01, -1]), ("alpha_grid", "0.01"), ("alpha_level", 0),
             ("catalog", "accused"), ("catalog", [1, 2]), ("input_path", 7),
         ],

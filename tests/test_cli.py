@@ -257,6 +257,12 @@ class TestExitCodes:
         assert main([command, *flags, flag, value]) == 2
         assert field in capsys.readouterr().err
 
+    def test_infinite_ridge_is_data_error(self, workdir, capsys):
+        flags, out = io_flags(workdir, "inf_ridge")
+        assert main(["audit", *flags, "--ridge", "inf"]) == 2
+        assert "ridge" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_header_column_is_data_error(self, workdir, capsys):
         lines = workdir["data"].read_text().splitlines(keepends=True)
         header = lines[0].rstrip("\r\n").split(",")

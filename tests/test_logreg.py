@@ -219,6 +219,14 @@ class TestFit:
             assert (d.final_nll, d.iterations, d.converged) == (final, iters, converged), case
             assert d.max_abs_gradient == gmax and d.trace == trace, case
 
+    @pytest.mark.parametrize("kwargs", [
+        {"ridge": -0.1}, {"ridge": math.inf}, {"ridge": math.nan},
+        {"tolerance": 0.0}, {"tolerance": math.inf}, {"tolerance": math.nan},
+    ])
+    def test_bad_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            FitSettings(**kwargs)
+
     def test_bad_support_rejected(self):
         m = random_binary_matrix(8, 30, 3)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -267,6 +268,11 @@ class TestTuneAlpha:
                                  settings=TreeSettings())
         assert alpha == 0.02
         assert tree.n_leaves() >= 1
+
+    @pytest.mark.parametrize("alpha", [-0.1, math.inf, math.nan])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            TreeSettings(alpha=alpha)
 
     def test_empty_grid_rejected(self):
         m = binary_matrix(21, 200, 3)
