@@ -364,16 +364,15 @@ class SynthConfig:
         unknown = self.tree_spec.features() - set(self.feature_marginals)
         if unknown:
             raise ValueError(f"tree uses features without marginals: {sorted(unknown)}")
-        for leaf, rates in self.leaf_rates.items():
-            pair = self._pair(rates)
+        # New dicts: the caller's stay as they were passed.
+        self.leaf_rates = {k: self._pair(v) for k, v in self.leaf_rates.items()}
+        self.feature_marginals = {k: self._pair(v) for k, v in self.feature_marginals.items()}
+        for leaf, pair in self.leaf_rates.items():
             if not all(0.0 <= r <= 1.0 for r in pair):
                 raise ValueError(f"leaf {leaf!r}: rates must be in [0, 1]")
-            self.leaf_rates[leaf] = pair
-        for name, marginal in self.feature_marginals.items():
-            pair = self._pair(marginal)
+        for name, pair in self.feature_marginals.items():
             if not all(0.0 <= r <= 1.0 for r in pair):
                 raise ValueError(f"marginal for {name!r} must be in [0, 1]")
-            self.feature_marginals[name] = pair
 
     @staticmethod
     def _pair(value) -> tuple[float, float]:

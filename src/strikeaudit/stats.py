@@ -141,11 +141,6 @@ class RocCurve:
     points: tuple[tuple[float, float], ...]
     auc: float = field(default=0.0)
 
-    def to_csv(self) -> str:
-        lines = ["fpr,tpr"]
-        lines.extend(f"{fpr!r},{tpr!r}" for fpr, tpr in self.points)
-        return "\n".join(lines) + "\n"
-
 
 def roc_points(scores, labels) -> RocCurve:
     """ROC curve from a threshold sweep over the distinct scores.

@@ -229,8 +229,9 @@ def subset_path(
 
     Per fold and size, the fold's training portion is searched exactly and
     the validation AUC recorded; the size with the best mean AUC wins (ties
-    break toward fewer features). The chosen size is refit on the full
-    training data and scored once on the held-out test set.
+    break toward fewer features). The full training data is searched at
+    every size as well, and its winner at the chosen size is scored once on
+    the held-out test set.
 
     No search uses a column in ``exclude``; column indices keep their
     meaning, so calls on the same training matrix that exclude different

@@ -14,6 +14,7 @@ function of the data and the settings alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -29,12 +30,12 @@ class TreeSettings:
     min_leaf: int = 10
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        for name in ("max_depth", "min_leaf"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
 
 
 @dataclass(frozen=True)

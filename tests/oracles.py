@@ -111,13 +111,13 @@ def _nll_terms(eta, y):
     return float(np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta))
 
 
-def reference_newton_fit(m, support, settings, init=None, record_trace=False):
+def reference_newton_fit(m, support, settings):
     """The damped Newton fit written out step by step: a masked sigmoid, and
     the sigmoid and gradient recomputed wherever a step needs them (before
     the Hessian, in the line search and for the final diagnostics).
 
-    Returns (theta, final_nll, iterations, converged, max_abs_gradient,
-    trace); logreg.fit must reproduce every one bit for bit.
+    Returns (theta, final_nll, iterations, converged, max_abs_gradient);
+    logreg.fit must reproduce every one bit for bit.
     """
     support = tuple(support)
     xs = m.x[:, support]
@@ -125,7 +125,7 @@ def reference_newton_fit(m, support, settings, init=None, record_trace=False):
     n, k = xs.shape
     ridge = 1.0 / n if settings.ridge is None else settings.ridge
 
-    theta = np.zeros(k + 1) if init is None else np.asarray(init, dtype=float).copy()
+    theta = np.zeros(k + 1)
 
     def objective(t):
         eta = t[0] + xs @ t[1:]
@@ -139,7 +139,6 @@ def reference_newton_fit(m, support, settings, init=None, record_trace=False):
         return g
 
     current = objective(theta)
-    trace = [current] if record_trace else None
     iterations = 0
     gmax = math.inf
     for iterations in range(1, settings.max_iterations + 1):
@@ -176,8 +175,6 @@ def reference_newton_fit(m, support, settings, init=None, record_trace=False):
                 improved = True
                 break
             scale *= 0.5
-        if record_trace:
-            trace.append(current)
         if not improved:
             break
     else:
@@ -191,10 +188,7 @@ def reference_newton_fit(m, support, settings, init=None, record_trace=False):
     gmax = float(np.max(np.abs(g)))
     separated = ridge == 0.0 and bool(np.all((2.0 * y - 1.0) * eta > 0.0))
     converged = gmax <= settings.tolerance and not separated
-    return (
-        theta, current, iterations, converged, gmax,
-        tuple(trace) if record_trace else None,
-    )
+    return theta, current, iterations, converged, gmax
 
 
 def enumerate_trees_best_objective(x, y, max_depth, min_leaf, alpha):

@@ -382,11 +382,10 @@ class TestRunAudit:
         solved = []
         real_fit = logreg.fit
 
-        def recording_fit(m, support, settings=logreg.FitSettings(), init=None, **kwargs):
-            assert init is None
+        def recording_fit(m, support, settings=logreg.FitSettings()):
             columns = frozenset((m.columns[j], m.x[:, j].tobytes()) for j in support)
             solved.append((m.y.tobytes(), columns))
-            return real_fit(m, support, settings, **kwargs)
+            return real_fit(m, support, settings)
 
         monkeypatch.setattr(logreg, "fit", recording_fit)
         run_audit(disparity_audit_config(tmp_path, seed=12, n=900))

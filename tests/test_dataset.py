@@ -578,6 +578,16 @@ class TestSynthGenerate:
         assert by_race[True][0] / by_race[True][1] == pytest.approx(0.6, abs=0.02)
         assert by_race[False][0] / by_race[False][1] == pytest.approx(0.1, abs=0.02)
 
+    def test_caller_dicts_unchanged(self):
+        rates = {"all": [0.3, 0.2]}
+        marginals = {"f": {"black": 0.6, "nonblack": 0.1}, "g": 0.4}
+        cfg = SynthConfig(n=10, tree_spec=SplitSpec(leaf_id="all"), leaf_rates=rates,
+                          black_fraction=0.5, feature_marginals=marginals)
+        assert rates == {"all": [0.3, 0.2]}
+        assert marginals == {"f": {"black": 0.6, "nonblack": 0.1}, "g": 0.4}
+        assert cfg.leaf_rates == {"all": (0.3, 0.2)}
+        assert cfg.feature_marginals == {"f": (0.6, 0.1), "g": (0.4, 0.4)}
+
     def test_missing_leaf_rate_rejected(self):
         with pytest.raises(ValueError, match="leaf_rates"):
             SynthConfig(

@@ -177,10 +177,3 @@ class TestRocPoints:
         ys = [p[1] for p in curve.points]
         assert xs == sorted(xs) and ys == sorted(ys)
         assert curve.points[0] == (0.0, 0.0) and curve.points[-1] == (1.0, 1.0)
-
-    def test_csv_export(self):
-        curve = roc_points([0, 1], [0, 1])
-        text = curve.to_csv()
-        assert text.startswith("fpr,tpr\n")
-        assert text.endswith("\n")
-        assert len(text.strip().splitlines()) == 1 + len(curve.points)

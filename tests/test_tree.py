@@ -274,6 +274,16 @@ class TestTuneAlpha:
         with pytest.raises(ValueError, match="alpha"):
             TreeSettings(alpha=alpha)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_depth": 0}, {"max_depth": 1.5}, {"max_depth": True},
+        {"min_leaf": 0}, {"min_leaf": 2.5}, {"min_leaf": True},
+    ])
+    def test_bad_depth_or_leaf_size_rejected(self, kwargs):
+        # A fractional depth never counts down to 0, so the DP would grow
+        # trees deeper than asked for.
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TreeSettings(**kwargs)
+
     def test_empty_grid_rejected(self):
         m = binary_matrix(21, 200, 3)
         with pytest.raises(ValueError):
