@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from . import audit as audit_mod
@@ -109,7 +109,7 @@ def _matrix(cfg: audit_mod.AuditConfig) -> dataset.FeatureMatrix:
 def _cmd_synth(args) -> int:
     cfg = dataset.SynthConfig.from_json(json.loads(Path(args.config).read_text()))
     if args.n is not None:
-        cfg.n = args.n
+        cfg = replace(cfg, n=args.n)
     table = dataset.synth_generate(cfg, args.seed)
     dataset.write_csv(table, args.out)
     if args.catalog_out:

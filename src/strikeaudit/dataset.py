@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -19,6 +20,7 @@ from .errors import (
     ParseError,
     SchemaError,
     StratificationError,
+    reading_document,
 )
 
 REQUIRED_COLUMNS = ("trial_id", "juror_id", "is_black", "struck_by_state", "eligible")
@@ -354,6 +356,8 @@ class SynthConfig:
     feature_marginals: dict[str, float | tuple[float, float]]
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if not 0.0 <= self.black_fraction <= 1.0:
@@ -385,13 +389,14 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthConfig":
-        return cls(
-            n=int(obj["n"]),
-            tree_spec=SplitSpec.from_json(obj["tree_spec"]),
-            leaf_rates={str(k): v for k, v in obj["leaf_rates"].items()},
-            black_fraction=float(obj["black_fraction"]),
-            feature_marginals={str(k): v for k, v in obj["feature_marginals"].items()},
-        )
+        with reading_document("synth config"):
+            return cls(
+                n=obj["n"],
+                tree_spec=SplitSpec.from_json(obj["tree_spec"]),
+                leaf_rates={str(k): v for k, v in obj["leaf_rates"].items()},
+                black_fraction=float(obj["black_fraction"]),
+                feature_marginals={str(k): v for k, v in obj["feature_marginals"].items()},
+            )
 
     def to_json(self) -> dict:
         return {

@@ -82,6 +82,30 @@ class TestSynth:
         ]) == 0
         assert len(out.read_text().strip().splitlines()) == 26
 
+    def test_negative_n_override_is_data_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "neg.csv"
+        assert main([
+            "synth", "--config", str(workdir["config"]), "--n", "-3", "--out", str(out),
+        ]) == 2
+        assert "n must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n": None}, "synth config is missing key 'n'"),
+        ({"n": 2.7}, "n must be an integer, got 2.7"),
+        ({"n": True}, "n must be an integer, got True"),
+    ])
+    def test_malformed_config_is_data_error(self, tmp_path, capsys, change, message):
+        obj = {**SYNTH_CONFIG, **change}
+        if obj["n"] is None:
+            del obj["n"]
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(obj))
+        assert main([
+            "synth", "--config", str(config), "--out", str(tmp_path / "x.csv"),
+        ]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestOfs:
     def test_outputs(self, workdir, capsys):

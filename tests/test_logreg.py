@@ -236,6 +236,65 @@ class TestFit:
             fit(m, (0, 7))
 
 
+def pattern_matrix(seed, separable=False):
+    """A matrix large enough that every support of up to 10 columns is fit
+    on its (pattern, struck) cell table."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(4096, 6000)), 11
+    x = (rng.random((n, p)) < rng.uniform(0.2, 0.6, p)).astype(float)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(0.4 - x[:, :3] @ (1.2, -0.8, 0.5)))).astype(int)
+    if separable:
+        y = x[:, 0].astype(int)
+    return FeatureMatrix(x=x, columns=tuple(f"f{j}" for j in range(p)), y=y)
+
+
+def theta_of(model):
+    return np.concatenate([[model.intercept], model.beta])
+
+
+class TestPatternFit:
+    def test_matches_reference_newton_on_rows(self):
+        # 66 instances: k = 0..10 x ridge x separable labels, each on the cells.
+        # At the default tolerance ~1% of separable ridge > 0 fits reach the
+        # objective's rounding floor before the gradient tolerance, and from
+        # there the line search accepts or rejects on the last bits, so two
+        # differently rounded fits may take different iteration counts. There
+        # the objective and the verdict must agree; theta and the iteration
+        # count must agree at tolerance 1e-6, above that floor.
+        for case, (k, ridge, separable) in enumerate(
+                itertools.product(range(11), (0.0, None, 0.5), (False, True))):
+            m = pattern_matrix(case, separable)
+            assert m.n >= logreg.PATTERN_MIN_ROWS and 4 << k <= m.n
+            support = tuple(range(k)) if separable else tuple(range(10 - k, 10))
+            for tolerance, above_floor in ((logreg.DEFAULT_TOLERANCE, False), (1e-6, True)):
+                settings = FitSettings(ridge=ridge, tolerance=tolerance)
+                model = fit(m, support, settings)
+                theta, final, iters, converged, _ = reference_newton_fit(m, support, settings)
+                d = model.diagnostics
+                assert abs(d.final_nll - final) <= 1e-12 * abs(final), case
+                assert d.converged == converged, case
+                if above_floor:
+                    scale = max(1.0, float(np.max(np.abs(theta))))
+                    assert np.max(np.abs(theta_of(model) - theta)) <= 1e-12 * scale, case
+                    assert d.iterations == iters, case
+
+    def test_row_permutation_gives_bitwise_identical_fit(self):
+        for seed, support in enumerate([(), (0,), (1, 4, 6), tuple(range(9))]):
+            m = pattern_matrix(100 + seed)
+            shuffled = m.take_rows(np.random.default_rng(seed).permutation(m.n))
+            a, b = fit(m, support), fit(shuffled, support)
+            assert theta_of(a).tobytes() == theta_of(b).tobytes()
+            assert a.diagnostics == b.diagnostics
+
+    def test_separable_ridge_zero_unconverged_without_warning(self):
+        m = pattern_matrix(200, separable=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(m, (0, 1, 2), FitSettings(ridge=0.0))
+        assert not model.diagnostics.converged
+        assert np.isfinite(theta_of(model)).all()
+
+
 class TestPredictProba:
     def test_zero_model_gives_half(self):
         m = random_binary_matrix(9, 25, 3)
