@@ -121,13 +121,11 @@ def auc(scores, labels) -> float:
     n = s.size
     order = np.argsort(s, kind="mergesort")
     ranks = np.empty(n)
-    s_sorted = s[order]
     # Midranks: average 1-based rank within each tie group.
-    boundaries = np.flatnonzero(np.diff(s_sorted)) + 1
+    boundaries = np.flatnonzero(np.diff(s[order])) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [n]])
-    for lo, hi in zip(starts, ends):
-        ranks[order[lo:hi]] = 0.5 * (lo + 1 + hi)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     n_pos = int(y.sum())
     n_neg = n - n_pos
     rank_sum = float(ranks[y == 1].sum())

@@ -9,6 +9,11 @@ comparing objectives in integers so that float rounding never decides a tie.
 Ties between equal-objective trees break toward fewer leaves and then the
 lexicographically smallest pre-order split sequence, so the result is a
 function of the data and the settings alone.
+
+Leaves and the last split level do not depend on alpha: a row set's best
+one-split tree is the first feature with the fewest misclassified rows at
+any alpha, and alpha only decides whether it beats the leaf. tune_alpha
+therefore lends one table of that level to all of a fold's fits.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ def _bitset(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings()) -> Tree:
+def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
+             _splits: dict | None = None) -> Tree:
     """Exact minimizer of the penalized misclassification objective.
 
     Memoized depth-limited dynamic programming over row sets: the best
@@ -96,6 +102,20 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings()) -> Tree:
     most two leaves' penalty is not split, and a split is dropped once its
     right child plus one leaf exceeds the best.
 
+    Leaves and the last split level do not depend on alpha. A leaf is
+    computed where it is needed and never memoized. A row set with one level
+    left keeps (leaf misclassified, fewest misclassified over its one-split
+    trees, first feature attaining that) in a table keyed by its bitset. All
+    its splits have two leaves, so under the order above the first feature
+    with the fewest misclassified is the best split, and it wins iff its
+    cost is strictly below the leaf's (at equal cost the leaf has fewer
+    leaves), i.e. iff it saves more than floor(alpha * n) misclassified
+    rows; that comparison is the only place alpha enters. The prunes only
+    skip candidates that cannot win, so computing every split there changes
+    no result. ``_splits`` lends that table to fits of the same matrix and
+    min_leaf at other alphas (tune_alpha passes one per fold); a fit clears
+    a table it made itself.
+
     The matrix must already have race columns removed; leaves keep their
     training counts so p_strike is the empirical rate.
     """
@@ -110,13 +130,41 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings()) -> Tree:
     leaf_cost = a_num * m.n
     features = [_bitset(m.x[:, j] != 0.0) for j in range(m.p)]
     struck = _bitset(m.y != 0)
+    splits = {} if _splits is None else _splits
+    # A split beats the leaf iff (mis_leaf - mis_split) * a_den > leaf_cost,
+    # that is iff it saves more than floor(alpha * n) misclassified rows.
+    gain_floor = leaf_cost // a_den
     memo: dict[tuple[int, int], tuple] = {}
+
+    def best_split(rows: int) -> tuple:
+        """(leaf misclassified, fewest misclassified over one-split trees,
+        first feature attaining it); (leaf, n + 1, None) when no split keeps
+        min_leaf, and n + 1 misclassified never beats the leaf."""
+        n_rows = rows.bit_count()
+        n_struck = (rows & struck).bit_count()
+        best_mis, best_f = n_rows + 1, None
+        for f, has_f in enumerate(features):
+            right = rows & has_f
+            n_right = right.bit_count()
+            n_left = n_rows - n_right
+            if n_right < min_leaf or n_left < min_leaf:
+                continue
+            r_struck = (right & struck).bit_count()
+            l_struck = n_struck - r_struck
+            mis = min(r_struck, n_right - r_struck) + min(l_struck, n_left - l_struck)
+            if mis < best_mis:
+                best_mis, best_f = mis, f
+        found = splits[rows] = (min(n_struck, n_rows - n_struck), best_mis, best_f)
+        return found
 
     def best(rows: int, levels: int) -> tuple:
         """(cost, leaves, split feature or None) of the best subtree."""
-        key = (rows, levels)
-        found = memo.get(key)
-        if found is not None:
+        if levels == 1:
+            mis_leaf, mis_split, f = splits.get(rows) or best_split(rows)
+            if mis_leaf - mis_split > gain_floor:
+                return (mis_split * a_den + 2 * leaf_cost, 2, f)
+            return (mis_leaf * a_den + leaf_cost, 1, None)
+        if levels and (found := memo.get((rows, levels))) is not None:
             return found
         n_rows = rows.bit_count()
         n_struck = (rows & struck).bit_count()
@@ -134,7 +182,7 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings()) -> Tree:
                 candidate = (l[0] + r[0], l[1] + r[1], f)
                 if candidate[:2] < result[:2]:
                     result = candidate
-        memo[key] = result
+            memo[rows, levels] = result
         return result
 
     nodes: list = []
@@ -157,9 +205,14 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings()) -> Tree:
     try:
         build((1 << m.n) - 1, 0)
     finally:
-        # best() refers to itself, so the memo would otherwise live until a
-        # cyclic garbage collection.
+        # best() and build() call themselves: a reference cycle that would
+        # keep the tables, bitsets and nodes until a cyclic garbage
+        # collection. The tables go at once (a lent one is the lender's to
+        # clear), and deleting the two functions frees the rest on return.
         memo.clear()
+        if _splits is None:
+            splits.clear()
+        del best, build
     return Tree(nodes=tuple(nodes), root=0, columns=m.columns, depth=depth)
 
 
@@ -173,17 +226,17 @@ def predict_leaves(tree: Tree, x: np.ndarray) -> np.ndarray:
     """Vectorized leaf assignment for an n x p matrix."""
     x = np.asarray(x)
     out = np.zeros(x.shape[0], dtype=int)
-
-    def rec(idx: int, mask: np.ndarray) -> None:
+    # A work list, not a recursive closure: the closure's reference cycle
+    # would keep x and out alive until a cyclic garbage collection.
+    todo = [(tree.root, np.ones(x.shape[0], dtype=bool))]
+    while todo:
+        idx, mask = todo.pop()
         node = tree.nodes[idx]
         if isinstance(node, Leaf):
             out[mask] = idx
-            return
-        present = x[:, node.feature] != 0.0
-        rec(node.right, mask & present)
-        rec(node.left, mask & ~present)
-
-    rec(tree.root, np.ones(x.shape[0], dtype=bool))
+        else:
+            present = x[:, node.feature] != 0.0
+            todo += [(node.left, mask & ~present), (node.right, mask & present)]
     return out
 
 
@@ -227,20 +280,29 @@ def tune_alpha(
 
     ``seed`` draws the stratified folds. Ties go to the larger alpha
     (simpler trees); the winner is refit on the full training data.
+    Folds run in the outer loop and the sorted grid in the inner one: each
+    fold's training rows are taken once, and its fits at every alpha share
+    one table of the alpha-free last split level (see fit_tree), cleared
+    when the fold is done.
     """
     grid = tuple(sorted(alpha_grid))
     if not grid:
         raise ValueError("alpha_grid must be non-empty")
-    fold_idx = stratified_folds(train.y, folds, seed)
+    errors: list[list[float]] = [[] for _ in grid]
+    splits: dict = {}
+    for tr, va in stratified_folds(train.y, folds, seed):
+        fold = train.take_rows(tr)
+        x_va, y_va = train.x[va], train.y[va]
+        try:
+            for alpha, alpha_errors in zip(grid, errors):
+                t = fit_tree(fold, dc_replace(settings, alpha=alpha), _splits=splits)
+                alpha_errors.append(float(np.mean(predict_labels(t, x_va) != y_va)))
+        finally:
+            splits.clear()
     best_alpha = None
     best_error = None
-    for alpha in grid:
-        errors = []
-        for tr, va in fold_idx:
-            t = fit_tree(train.take_rows(tr), dc_replace(settings, alpha=alpha))
-            predicted = predict_labels(t, train.x[va])
-            errors.append(float(np.mean(predicted != train.y[va])))
-        mean_error = float(np.mean(errors))
+    for alpha, alpha_errors in zip(grid, errors):
+        mean_error = float(np.mean(alpha_errors))
         if best_error is None or mean_error <= best_error:
             best_alpha, best_error = alpha, mean_error
     final = fit_tree(train, dc_replace(settings, alpha=best_alpha))

@@ -1,12 +1,14 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from strikeaudit.dataset import FeatureMatrix, build_matrix, synth_generate
+from strikeaudit.dataset import FeatureMatrix, build_matrix, stratified_folds, synth_generate
 from strikeaudit.errors import ContractViolationError, DegenerateDataError
 from strikeaudit.tree import (
     Leaf,
@@ -16,6 +18,7 @@ from strikeaudit.tree import (
     describe_path,
     fit_tree,
     predict_leaf,
+    predict_labels,
     predict_leaves,
     tree_from_json,
     tree_to_graph,
@@ -315,6 +318,109 @@ class TestTuneAlpha:
             if alpha <= 0.01:
                 wins += 1
         assert wins >= 4
+
+
+class TestAlphaSharing:
+    """tune_alpha lends each fold's fits one table of the alpha-free last
+    split level; sharing it must change no tree and keep no memory."""
+
+    @staticmethod
+    def matrix(seed, n, p, labels):
+        """Labels copying a column or their parity tie many trees at zero
+        misclassified; random labels tie splits of equal counts."""
+        rng = np.random.default_rng(seed)
+        x = (rng.random((n, p)) < 0.5).astype(float)
+        if labels == "copy":
+            y = x[:, -1].astype(int)
+        elif labels == "parity":
+            y = x[:, 0].astype(int) ^ x[:, -1].astype(int)
+        else:
+            y = (rng.random(n) < 0.2 + 0.5 * x[:, 0]).astype(int)
+        return FeatureMatrix(x=x, columns=tuple(f"q{j}" for j in range(p)), y=y)
+
+    @staticmethod
+    def unshared_tune(train, grid, folds, seed, tree_settings):
+        """tune_alpha as one fresh fit_tree per (alpha, fold)."""
+        fold_idx = stratified_folds(train.y, folds, seed)
+        best_alpha = best_error = None
+        for alpha in sorted(grid):
+            errors = []
+            for tr, va in fold_idx:
+                t = fit_tree(train.take_rows(tr), replace(tree_settings, alpha=alpha))
+                errors.append(float(np.mean(predict_labels(t, train.x[va]) != train.y[va])))
+            mean_error = float(np.mean(errors))
+            if best_error is None or mean_error <= best_error:
+                best_alpha, best_error = alpha, mean_error
+        return best_alpha, fit_tree(train, replace(tree_settings, alpha=best_alpha))
+
+    alphas = st.sampled_from([0.0, 1 / 64, 0.01, 0.03, 0.1, 0.5, 0.75, 1.0])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([64, 100, 128, 160]),
+           st.integers(1, 5), st.sampled_from(["copy", "parity", "random"]),
+           st.integers(1, 4), st.integers(1, 15),
+           st.lists(alphas, min_size=1, max_size=4), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_tune_alpha_matches_unshared_fits(self, seed, n, p, labels, depth, min_leaf,
+                                              grid, folds):
+        m = self.matrix(seed, n, p, labels)
+        assume(min(m.y.sum(), n - m.y.sum()) >= 2 * folds)
+        tree_settings = TreeSettings(max_depth=depth, min_leaf=min_leaf)
+        alpha, tree = tune_alpha(m, grid, folds, seed, tree_settings)
+        expected_alpha, expected_tree = self.unshared_tune(m, grid, folds, seed, tree_settings)
+        assert alpha == expected_alpha
+        assert tree_to_json(tree) == tree_to_json(expected_tree)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([64, 100, 128]), st.integers(1, 5),
+           st.sampled_from(["copy", "parity", "random"]), st.integers(1, 4),
+           st.integers(1, 15), st.lists(alphas, min_size=2, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_fit_on_a_filled_table_equals_a_fresh_fit(self, seed, n, p, labels, depth,
+                                                      min_leaf, grid):
+        m = self.matrix(seed, n, p, labels)
+        splits: dict = {}
+        for alpha in grid:
+            tree_settings = TreeSettings(max_depth=depth, alpha=alpha, min_leaf=min_leaf)
+            assert fit_tree(m, tree_settings, _splits=splits) == fit_tree(m, tree_settings)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 6), st.lists(alphas, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_fits_follow_the_oracle_under_ties(self, seed, n, p, depth, min_leaf, grid):
+        # A copy and a complement of column 0 sit before and after the
+        # others, so equal best splits on one row set are common.
+        rng = np.random.default_rng(seed)
+        x = (rng.random((n, p)) < 0.5).astype(float)
+        x = np.column_stack([x[:, 0], x, 1.0 - x[:, 0]])
+        y = (rng.random(n) < 0.25 + 0.5 * x[:, 0]).astype(int)
+        m = FeatureMatrix(x=x, columns=tuple(f"q{j}" for j in range(p + 2)), y=y)
+        assume(n >= 2 * min_leaf)
+        splits: dict = {}
+        for alpha in grid:
+            tree_settings = TreeSettings(max_depth=depth, alpha=alpha, min_leaf=min_leaf)
+            tree = fit_tree(m, tree_settings, _splits=splits)
+            assert tree_key(tree, alpha) == enumerate_trees_best_key(x, y, depth, min_leaf, alpha)
+
+    def test_no_dp_table_outlives_tune_alpha(self):
+        # The DP's functions call themselves. If that reference cycle
+        # outlived a fit, it would keep the fit's tables (hundreds of KiB
+        # here) and bitsets (~3 KiB a fit) until a cyclic collection; with
+        # collection off, either shows here. What is left is the result.
+        m = binary_matrix(31, 600, 10, rate_fn=lambda x: 0.15 + 0.6 * x[:, 0] * x[:, 1])
+        args = (m, (0.001, 0.01, 0.1), 5, 0, TreeSettings(max_depth=4, min_leaf=10))
+        tune_alpha(*args)  # warm-up: first-call allocations are not a leak
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = tune_alpha(*args)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert result[1].n_leaves() >= 1
+        assert grown <= 16 * 1024
 
 
 class TestSerialization:
