@@ -250,8 +250,8 @@ def split(m: FeatureMatrix, train_fraction: float, seed: int) -> tuple[FeatureMa
     if m.n < 10:
         raise ValueError(f"need at least 10 rows to split, got {m.n}")
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    train_parts: list[np.ndarray] = []
+    test_parts: list[np.ndarray] = []
     for label in (0, 1):
         stratum = np.flatnonzero(m.y == label)
         if stratum.size < 2:
@@ -261,9 +261,10 @@ def split(m: FeatureMatrix, train_fraction: float, seed: int) -> tuple[FeatureMa
         perm = rng.permutation(stratum)
         n_train = _round_nearest(stratum.size * train_fraction)
         n_train = min(max(n_train, 1), stratum.size - 1)
-        train_idx.extend(perm[:n_train])
-        test_idx.extend(perm[n_train:])
-    return m.take_rows(sorted(train_idx)), m.take_rows(sorted(test_idx))
+        train_parts.append(perm[:n_train])
+        test_parts.append(perm[n_train:])
+    return (m.take_rows(np.sort(np.concatenate(train_parts))),
+            m.take_rows(np.sort(np.concatenate(test_parts))))
 
 
 def stratified_folds(y, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

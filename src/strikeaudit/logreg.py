@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ DEFAULT_MAX_ITERATIONS = 100
 # Below ~500 rows a Newton step costs ~75-100 us whatever the row count (numpy
 # call overhead; one BLAS thread, 2-core machine): cells pay from 1,024 rows.
 PATTERN_MIN_ROWS = 1024
+# The line search's flatness slack, in units of the objective's magnitude.
+_SLACK_ULPS = 8.0 * sys.float_info.epsilon
+_LOG2 = math.log1p(1.0)  # the loss of one row at eta = 0
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,16 @@ class LogisticModel:
             raise ValueError("beta length must match support size")
 
 
-def _sigmoid(eta: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(eta: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-eta)) from z = exp(-|eta|), which cannot overflow."""
-    if z is None:
-        z = np.exp(-np.abs(eta))
+    z = np.exp(-np.abs(eta))
     return np.where(eta >= 0, 1.0, z) / (1.0 + z)
 
 
-def _nll_raw(eta: np.ndarray, y: np.ndarray, z: np.ndarray | None = None, w=None) -> float:
+def _nll_raw(eta: np.ndarray, y: np.ndarray) -> float:
     # log(1 + exp(eta)) - y*eta, evaluated as log1p(exp(-|eta|)) + max(eta, 0) - y*eta
-    if z is None:
-        z = np.exp(-np.abs(eta))
-    terms = np.log1p(z) + np.maximum(eta, 0.0) - y * eta
-    return float(np.sum(terms if w is None else w * terms))
+    terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta
+    return float(np.sum(terms))
 
 
 def _gradient(xs: np.ndarray, resid: np.ndarray, ridge: float, beta: np.ndarray) -> np.ndarray:
@@ -146,9 +147,19 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
     rows of ``m``, the support and ``settings``. Separable data with
     ridge = 0 comes back with converged=False rather than diverging.
 
-    From PATTERN_MIN_ROWS rows up, with at most n/2 possible (pattern, struck)
-    cells, Newton runs on the cell counts, so the fit depends on the rows as a
-    multiset (and matches the row fit to rounding); smaller fits stay on rows.
+    From PATTERN_MIN_ROWS rows up, when the occupied (pattern, struck) cells
+    number at most n/2, Newton runs on the cell counts, so the fit depends on
+    the rows as a multiset (and matches the row fit to rounding); other fits
+    stay on rows.
+
+    The loop performs the step-by-step reference fit's floating-point
+    operations (tests/oracles.py) in the reference's order, so a row fit is
+    that fit bit for bit. It saves only numpy calls and temporaries: hoisted
+    constants, in-place ufuncs into one n-length scratch buffer, and the
+    objective at zeros written down, not evaluated. There is no augmented
+    [1 | X] design with one product for the whole Hessian: it sums in
+    another order, so it would move every fit's last bits and the
+    reference with them.
     """
     support = tuple(support)
     xs = _design(m, support)
@@ -157,36 +168,72 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
     ridge = settings.resolve_ridge(n)
     ridge_eye = ridge * np.eye(k)  # once per fit: per Newton step it cost ~5% of a small fit
     w = None  # per-row fit: no weights enter the arithmetic
-    if n >= PATTERN_MIN_ROWS and 4 << k <= n:
+    if n >= PATTERN_MIN_ROWS and k < 52:
         bits = np.arange(1, k + 1)  # row code sum_j x_j * 2^(j+1) + y, exact in float64
-        counts = np.bincount((xs @ 2.0**bits + y).astype(np.intp), minlength=2 << k)
-        cells = np.flatnonzero(counts)
-        w = counts[cells].astype(float)
-        xs = ((cells[:, None] >> bits) & 1).astype(float)
-        y = (cells & 1).astype(float)
+        codes = (xs @ 2.0**bits + y).astype(np.int64)
+        if 4 << k <= n:  # every possible cell fits in a table of n/2 counts
+            counts = np.bincount(codes, minlength=2 << k)
+            cells = np.flatnonzero(counts)
+            counts = counts[cells]
+        else:  # sorting costs more than a small table: only where none fits
+            cells, counts = np.unique(codes, return_counts=True)
+        if 2 * cells.size <= n:
+            w = counts.astype(float)
+            xs = ((cells[:, None] >> bits) & 1).astype(float)
+            y = (cells & 1).astype(float)
+    xt = xs.T
+    half_ridge = 0.5 * ridge
+    tolerance = settings.tolerance
+    scratch = np.empty(y.size)
 
     def evaluate(t):
         """eta, z = exp(-|eta|) and the objective at t."""
-        eta = t[0] + xs @ t[1:]
-        z = np.exp(-np.abs(eta))
-        return eta, z, _nll_raw(eta, y, z, w) + 0.5 * ridge * float(t[1:] @ t[1:])
+        eta = xs @ t[1:]
+        eta += t[0]
+        z = np.copysign(eta, -1.0)  # -|eta| in one call
+        np.exp(z, out=z)
+        # (log1p(z) + max(eta, 0)) - y*eta, then times w on cells
+        terms = np.log1p(z)
+        terms += np.maximum(eta, 0.0, out=scratch)
+        terms -= np.multiply(y, eta, out=scratch)
+        if w is not None:
+            terms *= w
+        return eta, z, float(terms.sum()) + half_ridge * float(t[1:] @ t[1:])
 
     def probability_and_gradient(t, eta, z):
-        p = _sigmoid(eta, z)
-        resid = p - y if w is None else w * (p - y)
-        return p, _gradient(xs, resid, ridge, t[1:])
+        p = np.where(eta >= 0.0, 1.0, z)
+        p /= np.add(z, 1.0, out=scratch)
+        resid = np.subtract(p, y, out=scratch)
+        if w is not None:
+            resid *= w
+        g = np.empty(k + 1)
+        g[0] = resid.sum()
+        np.add(xt @ resid, ridge * t[1:], out=g[1:])
+        return p, g
 
     # Every quantity below belongs to the accepted theta and is computed once.
+    # At zeros eta = 0, z = exp(0) = 1 and each term is log1p(1) exactly.
     theta = np.zeros(k + 1)
-    eta, z, current = evaluate(theta)
+    eta, z = np.zeros(y.size), np.ones(y.size)
+    terms = np.full(y.size, _LOG2)
+    if w is not None:
+        terms *= w
+    current = float(terms.sum())
     p, g = probability_and_gradient(theta, eta, z)
     iterations = 0
     for iterations in range(1, settings.max_iterations + 1):
-        gmax = float(np.max(np.abs(g)))
-        if gmax <= settings.tolerance:
+        gmax = abs(g).max()
+        if gmax <= tolerance:
             iterations -= 1
             break
-        h = _hessian(xs, p * (1.0 - p) if w is None else w * (p * (1.0 - p)), ridge_eye)
+        hw = np.subtract(1.0, p, out=scratch)  # Hessian weights p(1 - p), times w on cells
+        hw *= p
+        if w is not None:
+            hw *= w
+        h = np.empty((k + 1, k + 1))
+        h[0, 0] = hw.sum()
+        h[0, 1:] = h[1:, 0] = xt @ hw
+        np.add((xs * hw[:, None]).T @ xs, ridge_eye, out=h[1:, 1:])
         try:
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
@@ -197,13 +244,13 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
         # gradient (that rule cannot cycle).
         scale = 1.0
         improved = False
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(current))
+        slack = _SLACK_ULPS * max(1.0, abs(current))
         for _ in range(60):
-            candidate = theta - scale * step
+            candidate = theta - step if scale == 1.0 else theta - scale * step
             c_eta, c_z, value = evaluate(candidate)
             if value <= current + slack:
                 c_p, c_g = probability_and_gradient(candidate, c_eta, c_z)
-                if value < current or float(np.max(np.abs(c_g))) < gmax:
+                if value < current or abs(c_g).max() < gmax:
                     theta, eta, current, p, g = candidate, c_eta, value, c_p, c_g
                     improved = True
                     break
@@ -213,12 +260,12 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
     else:
         iterations = settings.max_iterations
 
-    gmax = float(np.max(np.abs(g)))
+    gmax = float(abs(g).max())
     # With ridge = 0 and every row (or cell) classified with positive margin,
     # the data is separated by the fitted hyperplane and the optimum sits at
     # infinity; the small gradient is an artifact of the divergence path.
     separated = ridge == 0.0 and bool(np.all((2.0 * y - 1.0) * eta > 0.0))
-    converged = gmax <= settings.tolerance and not separated
+    converged = gmax <= tolerance and not separated
 
     diag = FitDiagnostics(
         final_nll=current,

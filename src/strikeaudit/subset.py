@@ -79,6 +79,7 @@ class _FitCache:
         self.settings = settings
         self.counts = counts
         self._models = {} if models is None else models
+        self.sd = m.x.std(axis=0)  # per column over these rows, for branching
 
     def fit(self, support) -> LogisticModel:
         key = tuple(sorted(support))
@@ -160,9 +161,11 @@ def _branch_and_bound(
             bound = diag.final_nll if diag.converged else -np.inf
             if bound >= best_obj - _PRUNE_EPS:
                 continue
-        # Branch on the allowed feature with the largest coefficient in the
-        # relaxation fit; ties go to the smaller index.
-        coef = dict(zip(bound_model.support, np.abs(bound_model.beta)))
+        # Branch on the allowed feature with the largest standardized
+        # coefficient |beta_j| * sd(x_j) in the relaxation fit; ties go to the
+        # smaller index.
+        scaled = np.abs(bound_model.beta) * cache.sd[list(bound_model.support)]
+        coef = dict(zip(bound_model.support, scaled))
         u = max(allowed, key=lambda j: (coef.get(j, 0.0), -j))
         rest = tuple(j for j in allowed if j != u)
         stack.append((forced, rest, None, None))

@@ -295,6 +295,90 @@ class TestPatternFit:
         assert np.isfinite(theta_of(model)).all()
 
 
+def copied_columns_matrix(seed):
+    """A matrix of at least 1,024 rows whose 12 columns are copies of 3 base
+    columns: 2^13 possible cells, far more than n/2, but at most 16 occupied."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1024, 1600))
+    base = (rng.random((n, 3)) < (0.3, 0.5, 0.4)).astype(float)
+    x = base[:, np.arange(12) % 3]
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(0.3 - base @ (1.0, -0.7, 0.4)))).astype(int)
+    return FeatureMatrix(x=x, columns=tuple(f"f{j}" for j in range(12)), y=y)
+
+
+class TestOccupiedCells:
+    def test_copied_columns_take_the_cell_path(self):
+        # Only the cell path makes a fit a function of the rows as a multiset,
+        # so bit-identical fits under row permutation show it was taken; a row
+        # fit sums in row order and moves in its last bits.
+        for seed in range(4):
+            m = copied_columns_matrix(seed)
+            support = tuple(range(12))
+            assert 4 << len(support) > m.n >= logreg.PATTERN_MIN_ROWS
+            model = fit(m, support)
+            _, final, iters, converged, _ = reference_newton_fit(m, support, FitSettings())
+            d = model.diagnostics
+            assert d.converged and converged
+            assert abs(d.final_nll - final) <= 1e-12 * abs(final), seed
+            shuffled = m.take_rows(np.random.default_rng(seed).permutation(m.n))
+            other = fit(shuffled, support)
+            assert theta_of(other).tobytes() == theta_of(model).tobytes(), seed
+            assert other.diagnostics == d, seed
+
+
+def short_fit_cases():
+    """(matrix, support, ridge, on cells) on the row path and on the cell
+    path, k = 0 included. No row matrix is balanced, so k = 0 takes a step."""
+    for case, ridge in enumerate((0.0, None, 0.5)):
+        m = random_binary_matrix(42 + case, 90, 5, signal={0: 1.0, 2: -0.8})
+        yield m, (), ridge, False
+        yield m, (0, 2, 3), ridge, False
+        m = pattern_matrix(300 + case)
+        yield m, (), ridge, True
+        yield m, (1, 4, 6, 7), ridge, True
+
+
+class TestShortFits:
+    """Fits that stop at the start or after one Newton step, where the loop's
+    start at zeros and its first step stand alone. Row fits match the
+    reference bit for bit. Cell fits take the same first step bit for bit
+    (at zeros every Hessian and gradient entry is a sum of quarters or
+    halves, exact in either order), but their objective and gradient sum
+    over cells and match the row sums to rounding."""
+
+    @pytest.mark.parametrize("settings_of", [
+        lambda ridge: FitSettings(ridge=ridge, tolerance=1e6),
+        lambda ridge: FitSettings(ridge=ridge, max_iterations=1),
+    ], ids=["zero-iterations", "one-iteration"])
+    def test_match_reference_newton(self, settings_of):
+        for m, support, ridge, cells in short_fit_cases():
+            settings = settings_of(ridge)
+            model = fit(m, support, settings)
+            theta, final, iters, converged, gmax = reference_newton_fit(m, support, settings)
+            d = model.diagnostics
+            assert iters == (0 if settings.tolerance > 1 else 1)
+            assert theta_of(model).tobytes() == theta.tobytes()
+            assert (d.iterations, d.converged) == (iters, converged)
+            if cells:
+                assert abs(d.final_nll - final) <= 1e-12 * abs(final)
+                assert abs(d.max_abs_gradient - gmax) <= 1e-12 * max(1.0, gmax)
+            else:
+                assert (d.final_nll, d.max_abs_gradient) == (final, gmax)
+
+    def test_cell_objective_at_zeros(self):
+        # At zeros the cell objective is the count-weighted sum of
+        # log1p(exp(-|0|)) + max(0, 0) - y * 0, evaluated here term by term.
+        for m, support, ridge, cells in short_fit_cases():
+            if not cells:
+                continue
+            d = fit(m, support, FitSettings(ridge=ridge, tolerance=1e6)).diagnostics
+            codes = m.x[:, support] @ 2.0 ** np.arange(1, len(support) + 1) + m.y
+            cell, counts = np.unique(codes.astype(np.int64), return_counts=True)
+            eta, y = np.zeros(cell.size), (cell & 1).astype(float)
+            terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta
+            assert d.final_nll == float(np.sum(counts.astype(float) * terms))
+
+
 class TestPredictProba:
     def test_zero_model_gives_half(self):
         m = random_binary_matrix(9, 25, 3)
