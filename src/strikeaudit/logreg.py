@@ -147,19 +147,22 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
     rows of ``m``, the support and ``settings``. Separable data with
     ridge = 0 comes back with converged=False rather than diverging.
 
-    From PATTERN_MIN_ROWS rows up, when the occupied (pattern, struck) cells
-    number at most n/2, Newton runs on the cell counts, so the fit depends on
-    the rows as a multiset (and matches the row fit to rounding); other fits
-    stay on rows.
+    From PATTERN_MIN_ROWS rows up, when the 2^(k+1) possible (pattern,
+    struck) cells number at most n and the occupied ones at most n/2, Newton
+    runs on the cell counts, so the fit depends on the rows as a multiset (and
+    matches the row fit to rounding); other fits stay on rows. Counting the
+    occupied cells of a wider support takes a sort, and there the cells
+    rarely win enough to pay for it.
 
     The loop performs the step-by-step reference fit's floating-point
     operations (tests/oracles.py) in the reference's order, so a row fit is
     that fit bit for bit. It saves only numpy calls and temporaries: hoisted
     constants, in-place ufuncs into one n-length scratch buffer, and the
-    objective at zeros written down, not evaluated. There is no augmented
-    [1 | X] design with one product for the whole Hessian: it sums in
-    another order, so it would move every fit's last bits and the
-    reference with them.
+    objective at zeros written down, not evaluated. The gradient and the
+    Hessian come from ``_gradient`` and ``_hessian``, the ones ``gradient``
+    and ``wald_pvalues`` use. There is no augmented [1 | X] design with one
+    product for the whole Hessian: it sums in another order, so it would
+    move every fit's last bits and the reference with them.
     """
     support = tuple(support)
     xs = _design(m, support)
@@ -168,20 +171,14 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
     ridge = settings.resolve_ridge(n)
     ridge_eye = ridge * np.eye(k)  # once per fit: per Newton step it cost ~5% of a small fit
     w = None  # per-row fit: no weights enter the arithmetic
-    if n >= PATTERN_MIN_ROWS and k < 52:
-        bits = np.arange(1, k + 1)  # row code sum_j x_j * 2^(j+1) + y, exact in float64
-        codes = (xs @ 2.0**bits + y).astype(np.int64)
-        if 4 << k <= n:  # every possible cell fits in a table of n/2 counts
-            counts = np.bincount(codes, minlength=2 << k)
-            cells = np.flatnonzero(counts)
-            counts = counts[cells]
-        else:  # sorting costs more than a small table: only where none fits
-            cells, counts = np.unique(codes, return_counts=True)
+    if n >= PATTERN_MIN_ROWS and 2 << k <= n:  # a table of every possible cell is <= n long
+        bits = np.arange(1, k + 1)  # row code sum_j x_j * 2^(j+1) + y
+        counts = np.bincount((xs @ 2.0**bits + y).astype(np.int64), minlength=2 << k)
+        cells = np.flatnonzero(counts)
         if 2 * cells.size <= n:
-            w = counts.astype(float)
+            w = counts[cells].astype(float)
             xs = ((cells[:, None] >> bits) & 1).astype(float)
             y = (cells & 1).astype(float)
-    xt = xs.T
     half_ridge = 0.5 * ridge
     tolerance = settings.tolerance
     scratch = np.empty(y.size)
@@ -206,10 +203,7 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
         resid = np.subtract(p, y, out=scratch)
         if w is not None:
             resid *= w
-        g = np.empty(k + 1)
-        g[0] = resid.sum()
-        np.add(xt @ resid, ridge * t[1:], out=g[1:])
-        return p, g
+        return p, _gradient(xs, resid, ridge, t[1:])
 
     # Every quantity below belongs to the accepted theta and is computed once.
     # At zeros eta = 0, z = exp(0) = 1 and each term is log1p(1) exactly.
@@ -230,10 +224,7 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
         hw *= p
         if w is not None:
             hw *= w
-        h = np.empty((k + 1, k + 1))
-        h[0, 0] = hw.sum()
-        h[0, 1:] = h[1:, 0] = xt @ hw
-        np.add((xs * hw[:, None]).T @ xs, ridge_eye, out=h[1:, 1:])
+        h = _hessian(xs, hw, ridge_eye)
         try:
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:

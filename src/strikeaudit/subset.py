@@ -79,7 +79,8 @@ class _FitCache:
         self.settings = settings
         self.counts = counts
         self._models = {} if models is None else models
-        self.sd = m.x.std(axis=0)  # per column over these rows, for branching
+        q = m.x.mean(axis=0)
+        self.sd = np.sqrt(q * (1.0 - q))  # per binary column over these rows, for branching
 
     def fit(self, support) -> LogisticModel:
         key = tuple(sorted(support))

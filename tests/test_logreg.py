@@ -296,10 +296,10 @@ class TestPatternFit:
 
 
 def copied_columns_matrix(seed):
-    """A matrix of at least 1,024 rows whose 12 columns are copies of 3 base
-    columns: 2^13 possible cells, far more than n/2, but at most 16 occupied."""
+    """A matrix of 8,192 to 9,000 rows whose 12 columns are copies of 3 base
+    columns: 2^13 possible cells, more than n/2, but at most 16 occupied."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1024, 1600))
+    n = int(rng.integers(8192, 9000))
     base = (rng.random((n, 3)) < (0.3, 0.5, 0.4)).astype(float)
     x = base[:, np.arange(12) % 3]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(0.3 - base @ (1.0, -0.7, 0.4)))).astype(int)
@@ -314,7 +314,7 @@ class TestOccupiedCells:
         for seed in range(4):
             m = copied_columns_matrix(seed)
             support = tuple(range(12))
-            assert 4 << len(support) > m.n >= logreg.PATTERN_MIN_ROWS
+            assert 4 << len(support) > m.n >= 2 << len(support)
             model = fit(m, support)
             _, final, iters, converged, _ = reference_newton_fit(m, support, FitSettings())
             d = model.diagnostics
