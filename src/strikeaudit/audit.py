@@ -129,19 +129,8 @@ def ablation_auc(
     """Test AUC with all features vs with race columns removed, same seed."""
     if not train.race_columns or not test.race_columns:
         raise ValueError("ablation requires race columns in both matrices")
-    memo = subset.FitMemo()
-    full = subset.subset_path(train, test, k_max, folds, seed, settings, budget, memo=memo)
-    ablated = _ablated_path(train, test, k_max, folds, seed, settings, budget, memo)
+    full, ablated = subset.race_ablation(train, test, k_max, folds, seed, settings, budget)
     return full.test_auc, ablated.test_auc
-
-
-def _ablated_path(train, test, k_max, folds, seed, settings, budget, memo) -> SubsetPath:
-    """The subset path with the race columns excluded, same folds and seed.
-    The columns keep their indices, so ``memo`` serves the full run's fits."""
-    return subset.subset_path(
-        train, test, min(k_max, train.p - len(train.race_columns)), folds, seed, settings,
-        budget, exclude=train.race_columns, memo=memo,
-    )
 
 
 @dataclass
@@ -282,8 +271,9 @@ def _stage(name: str):
 
 
 def run_audit(cfg: AuditConfig) -> AuditReport:
-    """Full pipeline: load, filter, encode, split, subset study, ablation,
-    race-free tree with tuned complexity, per-leaf disparity tests.
+    """Full pipeline: load, filter, encode, split, subset study with its race
+    ablation (one stage), race-free tree with tuned complexity, per-leaf
+    disparity tests.
 
     Deterministic given config + seed; any stage failure is re-raised with
     the stage label.
@@ -297,22 +287,13 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         m = build_matrix(eligible, cfg.missing_policy)
     with _stage("split"):
         train, test = split(m, cfg.train_fraction, cfg.seed)
-    fit_settings = cfg.fit_settings()
-    k_max = min(cfg.k_max, train.p)
-    memo = subset.FitMemo()
     with _stage("subset"):
-        path = subset.subset_path(
-            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget, memo=memo,
+        # The race ablation's second search reuses the first one's fits.
+        path, ablated = subset.race_ablation(
+            train, test, cfg.k_max, cfg.folds, cfg.seed, cfg.fit_settings(), cfg.node_budget,
         )
     with _stage("importance"):
         importance = subset.importance_profile(path)
-    with _stage("ablation"):
-        # subset_path on the full columns is deterministic, so the full-model
-        # AUC is the one already computed above; only the ablated run is new,
-        # and it reuses the full run's fits through the memo.
-        ablated = _ablated_path(
-            train, test, k_max, cfg.folds, cfg.seed, fit_settings, cfg.node_budget, memo,
-        )
     with _stage("tree"):
         alpha, fitted = tree_mod.tune_alpha(
             train.without_race(), cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),

@@ -140,8 +140,7 @@ def _cmd_ofs(args) -> int:
     cfg = _config(args)
     train, test = dataset.split(_matrix(cfg), cfg.train_fraction, cfg.seed)
     path = subset.subset_path(
-        train, test, min(cfg.k_max, train.p), cfg.folds, cfg.seed, cfg.fit_settings(),
-        cfg.node_budget,
+        train, test, cfg.k_max, cfg.folds, cfg.seed, cfg.fit_settings(), cfg.node_budget,
     )
     path_doc = subset.path_to_json(path)
     write_files(args.out, {
@@ -197,8 +196,7 @@ def _cmd_ablate(args) -> int:
     cfg = _config(args)
     train, test = dataset.split(_matrix(cfg), cfg.train_fraction, cfg.seed)
     auc_full, auc_ablated = audit_mod.ablation_auc(
-        train, test, min(cfg.k_max, train.p), cfg.folds, cfg.seed, cfg.fit_settings(),
-        cfg.node_budget,
+        train, test, cfg.k_max, cfg.folds, cfg.seed, cfg.fit_settings(), cfg.node_budget,
     )
     write_files(args.out, {
         "ablation.json": json_text({"auc_full": auc_full, "auc_ablated": auc_ablated}),

@@ -68,10 +68,10 @@ class SubsetPath:
 
 class _FitCache:
     """Memoized Newton fits from zeros on one row set. A fit is then a pure
-    function of the rows and the support, so the table, which FitMemo shares
-    between calls, cannot change a result. It is keyed by the sorted support,
-    which is the model's own support tuple, so a key takes no memory of its
-    own."""
+    function of the rows and the support, so the table, which race_ablation
+    shares between its two searches, cannot change a result. It is keyed by
+    the sorted support, which is the model's own support tuple, so a key
+    takes no memory of its own."""
 
     def __init__(self, m: FeatureMatrix, settings: FitSettings, counts: SearchCounts,
                  models: dict | None = None):
@@ -94,31 +94,9 @@ class _FitCache:
         return model
 
 
-class FitMemo:
-    """Newton fits shared by the subset_path calls on one training matrix
-    (the same object) with one FitSettings, whatever their seed or excluded
-    columns: one _FitCache table per row set, keyed by the row indices. It
-    holds no row-subset matrix: each pass takes its rows afresh, and the
-    matrix goes when the pass ends."""
-
-    def __init__(self):
-        self._owner: tuple[FeatureMatrix, FitSettings] | None = None
-        self._tables: dict[bytes | None, dict] = {}
-
-    def cache(self, train: FeatureMatrix, settings: FitSettings, rows, counts) -> _FitCache:
-        """The fit cache of train's rows ``rows`` (all rows when None)."""
-        if self._owner is None:
-            self._owner = (train, settings)
-        elif self._owner[0] is not train or self._owner[1] != settings:
-            raise ValueError("a FitMemo serves one training matrix and one FitSettings")
-        m = train if rows is None else train.take_rows(rows)
-        key = None if rows is None else rows.tobytes()
-        return _FitCache(m, settings, counts, self._tables.setdefault(key, {}))
-
-
 def _branch_and_bound(
     cache: _FitCache, allowed: tuple[int, ...], k: int, budget: int
-) -> tuple[frozenset, bool]:
+) -> SubsetResult:
     best_support, best_obj = frozenset(), np.inf
     nodes = 0
     certified = True
@@ -171,19 +149,7 @@ def _branch_and_bound(
         rest = tuple(j for j in allowed if j != u)
         stack.append((forced, rest, None, None))
         stack.append((forced | {u}, rest, bound, bound_model))
-    return best_support, certified
-
-
-def _best_subset_cached(
-    cache: _FitCache,
-    allowed: tuple[int, ...],
-    k: int,
-    budget: int,
-) -> SubsetResult:
-    if k < 0 or k > len(allowed):
-        raise ValueError(f"k must be in [0, {len(allowed)}], got {k}")
-    support, certified = _branch_and_bound(cache, allowed, k, budget)
-    model = cache.fit(support)
+    model = cache.fit(best_support)
     return SubsetResult(
         k=k,
         support=model.support,
@@ -207,15 +173,9 @@ def best_subset(
     dives to a size-k support first, so a budget of k + 1 nodes or more
     always returns one; a smaller budget may return the empty support.
     """
-    cache = _FitCache(m, settings, SearchCounts())
-    return _best_subset_cached(cache, tuple(range(m.p)), k, budget)
-
-
-def _search_path(
-    cache: _FitCache, allowed: tuple[int, ...], k_max: int, budget: int
-) -> list[SubsetResult]:
-    """Best subset of each size k = 1..k_max on the cache's rows."""
-    return [_best_subset_cached(cache, allowed, k, budget) for k in range(1, k_max + 1)]
+    if k < 0 or k > m.p:
+        raise ValueError(f"k must be in [0, {m.p}], got {k}")
+    return _branch_and_bound(_FitCache(m, settings, SearchCounts()), tuple(range(m.p)), k, budget)
 
 
 def subset_path(
@@ -227,9 +187,11 @@ def subset_path(
     settings: FitSettings = FitSettings(),
     budget: int = DEFAULT_NODE_BUDGET,
     exclude: frozenset[int] = frozenset(),
-    memo: FitMemo | None = None,
+    *,
+    _fits: dict | None = None,
 ) -> SubsetPath:
-    """Cross-validated model-size selection over k = 1..k_max.
+    """Cross-validated model-size selection over k = 1..min(k_max, p'), for
+    the p' columns not in ``exclude``: larger sizes are not searched.
 
     Per fold and size, the fold's training portion is searched exactly and
     the validation AUC recorded; the size with the best mean AUC wins (ties
@@ -238,31 +200,42 @@ def subset_path(
     the held-out test set.
 
     No search uses a column in ``exclude``; column indices keep their
-    meaning, so calls on the same training matrix that exclude different
-    columns can share one ``memo`` and solve each problem once.
+    meaning, so tie-breaks are those of the matrix without them. ``_fits``
+    lends the fit tables of each row set (keyed by the row indices' bytes,
+    None for all rows) to a call on the same training matrix and
+    FitSettings, as in race_ablation; it changes the search counts only.
     """
     if not all(0 <= j < train.p for j in exclude):
         raise ValueError(f"exclude must hold column indices in [0, {train.p})")
     allowed = tuple(j for j in range(train.p) if j not in exclude)
-    if k_max < 1 or k_max > len(allowed):
-        raise ValueError(f"k_max must be in [1, {len(allowed)}], got {k_max}")
+    if not allowed:
+        raise ValueError("every column is excluded, so none is left to search")
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     if train.columns != test.columns:
         raise ValueError("train and test matrices must share columns")
-    memo = FitMemo() if memo is None else memo
+    fits = {} if _fits is None else _fits
     counts = SearchCounts()
+    ks = range(1, min(k_max, len(allowed)) + 1)
+
+    def search(rows) -> list[SubsetResult]:
+        # The cache, and with it a fold's row matrix, dies when this returns.
+        key, m = (None, train) if rows is None else (rows.tobytes(), train.take_rows(rows))
+        cache = _FitCache(m, settings, counts, fits.setdefault(key, {}))
+        return [_branch_and_bound(cache, allowed, k, budget) for k in ks]
+
     auc_rows = []
-    folds_certified = np.ones(k_max, dtype=bool)
+    folds_certified = np.ones(len(ks), dtype=bool)
     for tr, va in stratified_folds(train.y, folds, seed):
         val = train.take_rows(va)
-        # No name holds the fold's cache, so its row matrix dies with the pass.
-        fold_results = _search_path(memo.cache(train, settings, tr, counts), allowed, k_max, budget)
+        fold_results = search(tr)
         auc_rows.append(
             [stats.auc(logreg.predict_proba(r.model, val), val.y) for r in fold_results]
         )
         folds_certified &= [r.certified_optimal for r in fold_results]
-    auc_matrix = np.asarray(auc_rows)  # folds x k_max
+    auc_matrix = np.asarray(auc_rows)  # folds x sizes
 
-    results = _search_path(memo.cache(train, settings, None, counts), allowed, k_max, budget)
+    results = search(None)
     entries = [
         SubsetPathEntry(
             k=res.k,
@@ -275,11 +248,8 @@ def subset_path(
         for res, aucs, fold_ok in zip(results, auc_matrix.T, folds_certified)
     ]
 
-    chosen_k = 1
-    best_mean = entries[0].cv_auc_mean
-    for entry in entries[1:]:
-        if entry.cv_auc_mean > best_mean:
-            chosen_k, best_mean = entry.k, entry.cv_auc_mean
+    # max keeps the first maximum, so ties break toward fewer features.
+    chosen_k = max(entries, key=lambda e: e.cv_auc_mean).k
     chosen_model = results[chosen_k - 1].model
     test_auc = stats.auc(logreg.predict_proba(chosen_model, test), test.y)
     return SubsetPath(
@@ -291,6 +261,31 @@ def subset_path(
         columns=train.columns,
         search=counts,
     )
+
+
+def race_ablation(
+    train: FeatureMatrix,
+    test: FeatureMatrix,
+    k_max: int,
+    folds: int,
+    seed: int,
+    settings: FitSettings = FitSettings(),
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> tuple[SubsetPath, SubsetPath]:
+    """The subset path with every column, then with the race columns
+    excluded: same folds and seed, sizes up to k_max or the non-race columns.
+
+    The race columns keep their indices in the second search, so the two
+    share one set of fit tables and the second solves only the problems the
+    first did not. A matrix without race columns gives the same path twice.
+    """
+    if len(train.race_columns) == train.p:
+        raise ValueError("no non-race column is left to search")
+    fits: dict = {}
+    full = subset_path(train, test, k_max, folds, seed, settings, budget, _fits=fits)
+    ablated = subset_path(train, test, k_max, folds, seed, settings, budget, train.race_columns,
+                          _fits=fits)
+    return full, ablated
 
 
 def backward_stepwise(m: FeatureMatrix, thresholds=(0.1, 0.05)) -> LogisticModel:

@@ -314,6 +314,24 @@ class TestExitCodes:
         assert "'accused' more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["audit", "ablate"])
+    def test_only_race_columns_left_is_data_error(self, tmp_path, capsys, command):
+        # The one catalog answer is constant, so it is dropped and only
+        # is_black is left; the ablated search has no column to search.
+        data = tmp_path / "race_only.csv"
+        data.write_text("trial_id,juror_id,is_black,struck_by_state,eligible,q\n" + "".join(
+            f"t1,j{i:03d},{i % 2},{int(i // 2 % 3 == 0)},1,0\n" for i in range(60)
+        ))
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps(["q"]))
+        out = tmp_path / "out"
+        assert main([command, "--input", str(data), "--catalog", str(catalog),
+                     "--out", str(out), "--folds", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "no non-race column is left to search" in err
+        assert "k_max" not in err
+        assert not out.exists()
+
     def test_report_missing_key_is_data_error(self, workdir, capsys):
         doc = workdir["root"] / "empty_report.json"
         doc.write_text("{}")

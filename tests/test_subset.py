@@ -8,13 +8,13 @@ from strikeaudit.dataset import FeatureMatrix, split
 from strikeaudit.errors import StratificationError
 from strikeaudit.logreg import FitDiagnostics, FitSettings
 from strikeaudit.subset import (
-    FitMemo,
     backward_stepwise,
     best_subset,
     curve_csv,
     importance_csv,
     importance_profile,
     path_to_json,
+    race_ablation,
     subset_path,
 )
 
@@ -218,8 +218,11 @@ class TestSubsetPath:
     def test_k_max_validated(self):
         m = planted_path_matrix(5)
         train, test = split(m, 0.7, 0)
-        with pytest.raises(ValueError):
-            subset_path(train, test, k_max=m.p + 1, folds=3, seed=0)
+        with pytest.raises(ValueError, match="k_max"):
+            subset_path(train, test, k_max=0, folds=3, seed=0)
+        # Sizes above the columns are not searched.
+        assert (path_to_json(subset_path(train, test, k_max=m.p + 1, folds=3, seed=0))
+                == path_to_json(subset_path(train, test, k_max=m.p, folds=3, seed=0)))
 
     def test_single_class_fold_rejected(self):
         m = planted_path_matrix(6, n=40)
@@ -240,7 +243,8 @@ class TestSubsetPath:
 
 def race_path_instance(seed):
     """A small random matrix with one or two race columns at random places,
-    split, plus the path arguments drawn for it."""
+    split, plus the path arguments drawn for it; k_max may exceed the
+    non-race columns."""
     rng = np.random.default_rng(seed)
     p = int(rng.integers(3, 7))
     race = frozenset(int(j) for j in rng.choice(p, size=int(rng.integers(1, 3)), replace=False))
@@ -248,32 +252,43 @@ def race_path_instance(seed):
     m = random_binary_matrix(seed, int(rng.integers(60, 161)), p, signal=signal)
     m = FeatureMatrix(x=m.x, columns=m.columns, y=m.y, race_columns=race)
     train, test = split(m, 0.7, seed)
-    k_max = int(rng.integers(1, p - len(race) + 1))
+    k_max = int(rng.integers(1, p + 1))
     budget = 1 if seed % 4 == 0 else 10**6
     return train, test, k_max, budget
 
 
 def search_free(path) -> dict:
-    """path_to_json without the search counts, which depend on the memo."""
+    """path_to_json without the search counts, which depend on shared fits."""
     return {k: v for k, v in path_to_json(path).items() if k != "search"}
 
 
-class TestExcludeAndMemo:
+class TestRaceAblation:
     @pytest.mark.parametrize("seed", range(36))
-    def test_excluded_run_with_shared_memo_matches_fresh_run_without_race(self, seed):
+    def test_paths_match_lone_full_path_and_fresh_path_without_race(self, seed):
         train, test, k_max, budget = race_path_instance(seed)
-        memo = FitMemo()
-        subset_path(train, test, min(k_max + 1, train.p), 3, seed, budget=budget, memo=memo)
-        ablated = subset_path(train, test, k_max, 3, seed, budget=budget,
-                              exclude=train.race_columns, memo=memo)
+        full, ablated = race_ablation(train, test, k_max, 3, seed, budget=budget)
+        lone = subset_path(train, test, k_max, 3, seed, budget=budget)
         fresh = subset_path(train.without_race(), test.without_race(), k_max, 3, seed,
                             budget=budget)
-        # Both searches look up the same fits; the shared memo answers some.
+        assert search_free(full) == search_free(lone)
+        # Both searches look up the same fits; the full search's fits answer some.
         assert (ablated.search.fits + ablated.search.memo_hits
                 == fresh.search.fits + fresh.search.memo_hits)
         assert ablated.search.fits <= fresh.search.fits
         # The supports are compared by name: the two runs index columns differently.
         assert search_free(ablated) == search_free(fresh)
+
+    def test_without_race_columns_the_second_search_solves_nothing(self):
+        train, test, k_max, _ = race_path_instance(2)
+        full, ablated = race_ablation(train.without_race(), test.without_race(), k_max, 3, 0)
+        assert search_free(ablated) == search_free(full)
+        assert ablated.search.fits == 0
+
+    def test_race_columns_alone_leave_nothing_to_search(self):
+        train, test, _, _ = race_path_instance(1)
+        race_only = lambda m: m.without_columns(set(range(m.p)) - m.race_columns)
+        with pytest.raises(ValueError, match="no non-race column"):
+            race_ablation(race_only(train), race_only(test), 1, 3, 0)
 
     def test_excluded_columns_are_never_selected(self):
         train, test, _, _ = race_path_instance(1)
@@ -281,30 +296,23 @@ class TestExcludeAndMemo:
         path = subset_path(train, test, allowed, 3, 0, exclude=train.race_columns)
         assert all(not set(e.support) & train.race_columns for e in path.entries)
         assert len(path.entries[-1].support) == allowed
-        with pytest.raises(ValueError, match="k_max"):
-            subset_path(train, test, allowed + 1, 3, 0, exclude=train.race_columns)
+        # The search stops at the allowed columns.
+        assert path_to_json(subset_path(train, test, allowed + 1, 3, 0,
+                                         exclude=train.race_columns)) == path_to_json(path)
         with pytest.raises(ValueError, match="exclude"):
             subset_path(train, test, 1, 3, 0, exclude=frozenset({train.p}))
+        with pytest.raises(ValueError, match="excluded"):
+            subset_path(train, test, 1, 3, 0, exclude=frozenset(range(train.p)))
 
-    def test_memo_shared_across_seeds_changes_nothing(self):
+    def test_fits_shared_across_seeds_change_nothing(self):
         train, test, k_max, _ = race_path_instance(3)
-        memo = FitMemo()
+        fits = {}
         for seed in (1, 2):
-            shared = subset_path(train, test, k_max, 3, seed, memo=memo)
+            shared = subset_path(train, test, k_max, 3, seed, _fits=fits)
             fresh = subset_path(train, test, k_max, 3, seed)
             assert search_free(shared) == search_free(fresh)
         # The second seed searched the full training rows already searched.
         assert shared.search.fits < fresh.search.fits
-
-    def test_memo_serves_one_matrix_and_settings(self):
-        train, test, k_max, _ = race_path_instance(5)
-        memo = FitMemo()
-        subset_path(train, test, k_max, 3, 0, memo=memo)
-        copy = train.take_rows(np.arange(train.n))
-        with pytest.raises(ValueError, match="FitMemo"):
-            subset_path(copy, test, k_max, 3, 0, memo=memo)
-        with pytest.raises(ValueError, match="FitMemo"):
-            subset_path(train, test, k_max, 3, 0, FitSettings(ridge=0.5), memo=memo)
 
 
 class TestBackwardStepwise:
