@@ -9,7 +9,6 @@ from .audit import (
     AuditConfig,
     AuditReport,
     DisparityFinding,
-    ablation_auc,
     leaf_disparity,
     run_audit,
 )

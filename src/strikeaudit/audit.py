@@ -17,7 +17,6 @@ from . import logreg, stats, subset, tree as tree_mod
 from .dataset import (
     MISSING_POLICIES,
     RACE_FEATURE_NAMES,
-    FeatureMatrix,
     JurorTable,
     answer_matrix,
     build_matrix,
@@ -28,7 +27,7 @@ from .dataset import (
 from .errors import StageError, StrikeAuditError, UndefinedTestError, reading_document
 from .logreg import FitSettings
 from .stats import ContingencyTable, fisher_exact, holm_adjust
-from .subset import DEFAULT_NODE_BUDGET, ImportanceProfile, SearchCounts, SubsetPath
+from .subset import DEFAULT_NODE_BUDGET, SubsetPath
 from .tree import Tree, TreeSettings
 
 
@@ -52,10 +51,6 @@ class DisparityFinding:
 
     def to_json(self) -> dict:
         return {**asdict(self), "path": list(self.path)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DisparityFinding":
-        return cls(**{**obj, "path": tuple(obj["path"])})
 
 
 def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> list[DisparityFinding]:
@@ -115,22 +110,6 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
             findings[idx].p_adjusted = float(p_adj)
             findings[idx].significant = bool(p_adj < alpha_level)
     return findings
-
-
-def ablation_auc(
-    train: FeatureMatrix,
-    test: FeatureMatrix,
-    k_max: int,
-    folds: int,
-    seed: int,
-    settings: FitSettings = FitSettings(),
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[float, float]:
-    """Test AUC with all features vs with race columns removed, same seed."""
-    if not train.race_columns or not test.race_columns:
-        raise ValueError("ablation requires race columns in both matrices")
-    full, ablated = subset.race_ablation(train, test, k_max, folds, seed, settings, budget)
-    return full.test_auc, ablated.test_auc
 
 
 @dataclass
@@ -230,10 +209,7 @@ class AuditReport:
     config: AuditConfig
     dataset_digest: str
     path: SubsetPath
-    importance: ImportanceProfile
-    auc_full: float
-    auc_ablated: float
-    ablation_search: SearchCounts
+    ablated: SubsetPath  # the same search with the race columns excluded
     tree_alpha: float
     tree: Tree
     findings: list[DisparityFinding]
@@ -249,11 +225,11 @@ class AuditReport:
             "dropped_columns": list(self.dropped_columns),
             "subset_path": subset.path_to_json(self.path),
             "chosen_model": logreg.model_to_json(self.path.chosen_model, self.path.columns),
-            "importance": self.importance.to_json(),
+            "importance": subset.importance_profile(self.path).to_json(),
             "ablation": {
-                "auc_full": self.auc_full,
-                "auc_ablated": self.auc_ablated,
-                "search": asdict(self.ablation_search),
+                "auc_full": self.path.test_auc,
+                "auc_ablated": self.ablated.test_auc,
+                "search": asdict(self.ablated.search),
             },
             "tree": {"alpha": self.tree_alpha, **tree_mod.tree_to_json(self.tree)},
             "findings": [f.to_json() for f in self.findings],
@@ -292,8 +268,6 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         path, ablated = subset.race_ablation(
             train, test, cfg.k_max, cfg.folds, cfg.seed, cfg.fit_settings(), cfg.node_budget,
         )
-    with _stage("importance"):
-        importance = subset.importance_profile(path)
     with _stage("tree"):
         alpha, fitted = tree_mod.tune_alpha(
             train.without_race(), cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),
@@ -304,10 +278,7 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         config=cfg,
         dataset_digest=digest,
         path=path,
-        importance=importance,
-        auc_full=path.test_auc,
-        auc_ablated=ablated.test_auc,
-        ablation_search=ablated.search,
+        ablated=ablated,
         tree_alpha=alpha,
         tree=fitted,
         findings=findings,

@@ -124,15 +124,16 @@ def _uncertified(path: subset.SubsetPath) -> str:
     return f" uncertified_k={ks}" if ks else ""
 
 
-def _finding_line(f: audit_mod.DisparityFinding) -> str:
-    where = " & ".join(f.path) or "(root)"
-    if f.skipped:
-        return f"leaf {f.leaf} [{where}]: skipped ({f.reason})"
+def _finding_line(f: dict) -> str:
+    """One line for a DisparityFinding.to_json document."""
+    where = " & ".join(f["path"]) or "(root)"
+    if f["skipped"]:
+        return f"leaf {f['leaf']} [{where}]: skipped ({f['reason']})"
     return (
-        f"leaf {f.leaf} [{where}]: black {f.struck_black}/{f.n_black} vs "
-        f"non-black {f.struck_nonblack}/{f.n_nonblack}, "
-        f"p={f.p_raw:.4g} adj={f.p_adjusted:.4g}"
-        + (" SIGNIFICANT" if f.significant else "")
+        f"leaf {f['leaf']} [{where}]: black {f['struck_black']}/{f['n_black']} vs "
+        f"non-black {f['struck_nonblack']}/{f['n_nonblack']}, "
+        f"p={f['p_raw']:.4g} adj={f['p_adjusted']:.4g}"
+        + (" SIGNIFICANT" if f["significant"] else "")
     )
 
 
@@ -187,7 +188,7 @@ def _cmd_disparity(args) -> int:
         "disparity.csv": audit_mod.findings_csv(docs),
         "disparity.json": json_text(docs),
     })
-    for f in findings:
+    for f in docs:
         print(_finding_line(f))
     return 0
 
@@ -195,13 +196,13 @@ def _cmd_disparity(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _config(args)
     train, test = dataset.split(_matrix(cfg), cfg.train_fraction, cfg.seed)
-    auc_full, auc_ablated = audit_mod.ablation_auc(
+    full, ablated = subset.race_ablation(
         train, test, cfg.k_max, cfg.folds, cfg.seed, cfg.fit_settings(), cfg.node_budget,
     )
     write_files(args.out, {
-        "ablation.json": json_text({"auc_full": auc_full, "auc_ablated": auc_ablated}),
+        "ablation.json": json_text({"auc_full": full.test_auc, "auc_ablated": ablated.test_auc}),
     })
-    print(f"auc_full={auc_full:.4f} auc_ablated={auc_ablated:.4f}")
+    print(f"auc_full={full.test_auc:.4f} auc_ablated={ablated.test_auc:.4f}")
     return 0
 
 
@@ -214,8 +215,8 @@ def _cmd_audit(args) -> int:
     flagged = [f.leaf for f in report.findings if f.significant]
     print(f"report written to {Path(args.out) / 'report.json'}")
     print(
-        f"chosen_k={report.path.chosen_k} auc_full={report.auc_full:.4f} "
-        f"auc_ablated={report.auc_ablated:.4f} significant_leaves={flagged}"
+        f"chosen_k={report.path.chosen_k} auc_full={report.path.test_auc:.4f} "
+        f"auc_ablated={report.ablated.test_auc:.4f} significant_leaves={flagged}"
         f"{_uncertified(report.path)}"
     )
     return 0
@@ -235,8 +236,7 @@ def _cmd_report(args) -> int:
             "tree:",
             tree_mod.tree_to_text(tree_mod.tree_from_json(doc["tree"])).rstrip("\n"),
             "findings:",
-            *("  " + _finding_line(audit_mod.DisparityFinding.from_json(f))
-              for f in doc["findings"]),
+            *("  " + _finding_line(f) for f in doc["findings"]),
         ]
     write_files(args.out, files)
     print("\n".join(lines))

@@ -277,8 +277,10 @@ def race_ablation(
 
     The race columns keep their indices in the second search, so the two
     share one set of fit tables and the second solves only the problems the
-    first did not. A matrix without race columns gives the same path twice.
+    first did not.
     """
+    if not train.race_columns:
+        raise ValueError("ablation requires race columns")
     if len(train.race_columns) == train.p:
         raise ValueError("no non-race column is left to search")
     fits: dict = {}

@@ -17,7 +17,6 @@ import pytest
 from strikeaudit import logreg
 from strikeaudit.audit import (
     AuditConfig,
-    ablation_auc,
     leaf_disparity,
     run_audit,
     write_outputs,
@@ -25,7 +24,7 @@ from strikeaudit.audit import (
 from strikeaudit.dataset import FeatureMatrix, build_matrix, split, synth_generate, write_csv
 from strikeaudit.logreg import FitSettings
 from strikeaudit.stats import ContingencyTable, auc, fisher_exact, holm_adjust, roc_points
-from strikeaudit.subset import backward_stepwise, best_subset, subset_path
+from strikeaudit.subset import backward_stepwise, best_subset, race_ablation, subset_path
 from strikeaudit.tree import TreeSettings, describe_path, fit_tree, predict_leaf
 
 from conftest import random_binary_matrix
@@ -349,7 +348,8 @@ def test_criterion_10_ablation_direction():
         race_columns=frozenset({0}),
     )
     train, test = split(m, 0.7, 0)
-    auc_full, auc_ablated = ablation_auc(train, test, k_max=3, folds=3, seed=0)
+    full, ablated = race_ablation(train, test, k_max=3, folds=3, seed=0)
+    auc_full, auc_ablated = full.test_auc, ablated.test_auc
     race_only_ok = auc_full >= 0.70 and auc_ablated <= 0.55
 
     diffs = []
@@ -363,8 +363,8 @@ def test_criterion_10_ablation_direction():
             race_columns=frozenset({0}),
         )
         train, test = split(m, 0.7, seed)
-        full, ablated = ablation_auc(train, test, k_max=3, folds=3, seed=seed)
-        diffs.append(abs(full - ablated))
+        full, ablated = race_ablation(train, test, k_max=3, folds=3, seed=seed)
+        diffs.append(abs(full.test_auc - ablated.test_auc))
     irrelevant_ok = float(np.mean(diffs)) <= 0.02
     report(
         10, "race ablation collapses race-only AUC, preserves race-free AUC",
@@ -416,7 +416,7 @@ def test_criterion_12_external_court_records():
     ok = (
         abs(report_obj.path.chosen_k - 11) <= 2
         and abs(report_obj.path.test_auc - 0.815) <= 0.03
-        and abs(report_obj.auc_ablated - 0.672) <= 0.03
+        and abs(report_obj.ablated.test_auc - 0.672) <= 0.03
         and survivors == expected_survivors
     )
     report(12, "published dataset reproduces headline numbers", ok)

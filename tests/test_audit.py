@@ -11,8 +11,6 @@ from hypothesis import given, settings, strategies as st
 from strikeaudit import logreg
 from strikeaudit.audit import (
     AuditConfig,
-    DisparityFinding,
-    ablation_auc,
     findings_csv,
     leaf_disparity,
     run_audit,
@@ -25,6 +23,7 @@ from strikeaudit.dataset import (
     write_csv,
 )
 from strikeaudit.errors import SchemaError, StageError, StrikeAuditError
+from strikeaudit.subset import race_ablation
 from strikeaudit.tree import tree_from_json
 
 from conftest import fresh_python
@@ -149,7 +148,7 @@ class TestLeafDisparity:
         findings = leaf_disparity(paper_tree(), table)
         assert any(f.skipped for f in findings) and any(f.significant for f in findings)
         for f in findings:
-            assert DisparityFinding.from_json(json.loads(json.dumps(f.to_json()))) == f
+            assert json.loads(json.dumps(f.to_json())) == f.to_json()
 
     def test_csv_rendering(self):
         table = five_leaf_table()
@@ -208,9 +207,9 @@ class TestAblation:
     def test_race_only_outcome_collapses_without_race(self):
         m = race_only_matrix(0)
         train, test = split(m, 0.7, 0)
-        auc_full, auc_ablated = ablation_auc(train, test, k_max=3, folds=3, seed=1)
-        assert auc_full >= 0.70
-        assert auc_ablated <= 0.55
+        full, ablated = race_ablation(train, test, k_max=3, folds=3, seed=1)
+        assert full.test_auc >= 0.70
+        assert ablated.test_auc <= 0.55
 
     def test_race_irrelevant_outcome_keeps_auc(self):
         rng = np.random.default_rng(5)
@@ -221,14 +220,14 @@ class TestAblation:
         m = FeatureMatrix(x=x, columns=("is_black", "a", "b", "c", "d"), y=y,
                           race_columns=frozenset({0}))
         train, test = split(m, 0.7, 0)
-        auc_full, auc_ablated = ablation_auc(train, test, k_max=3, folds=3, seed=2)
-        assert abs(auc_full - auc_ablated) <= 0.05
+        full, ablated = race_ablation(train, test, k_max=3, folds=3, seed=2)
+        assert abs(full.test_auc - ablated.test_auc) <= 0.05
 
     def test_requires_race_columns(self):
         m = race_only_matrix(1).without_race()
         train, test = split(m, 0.7, 0)
-        with pytest.raises(ValueError):
-            ablation_auc(train, test, k_max=2, folds=3, seed=0)
+        with pytest.raises(ValueError, match="ablation requires race columns"):
+            race_ablation(train, test, k_max=2, folds=3, seed=0)
 
 
 def disparity_audit_config(tmp_path, seed=0, n=900):
@@ -299,10 +298,10 @@ class TestRunAudit:
         # every leaf has exactly one finding
         assert sorted(f.leaf for f in report.findings) == sorted(report.tree.leaf_ids())
         assert sum(f.n_black + f.n_nonblack for f in report.findings) == 1200
-        assert 0.0 <= report.auc_ablated <= report.auc_full <= 1.0
+        assert 0.0 <= report.ablated.test_auc <= report.path.test_auc <= 1.0
         doc = report.to_json()
         assert doc["provenance"]["dataset_digest"] == report.dataset_digest
-        assert doc["ablation"]["auc_full"] == report.auc_full
+        assert doc["ablation"]["auc_full"] == report.path.test_auc
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=4, n=900)

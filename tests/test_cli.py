@@ -169,6 +169,15 @@ class TestAblate:
         doc = json.loads((out / "ablation.json").read_text())
         assert set(doc) == {"auc_full", "auc_ablated"}
 
+    def test_aucs_match_the_audit_report(self, workdir):
+        flags, out = io_flags(workdir, "ablate_vs_audit")
+        assert main(["ablate", *flags, "--seed", "5", *FAST_FLAGS]) == 0
+        ablation = json.loads((out / "ablation.json").read_text())
+        flags, out = io_flags(workdir, "audit_vs_ablate")
+        assert main(["audit", *flags, "--seed", "5", *FAST_FLAGS, *FAST_TREE_FLAGS]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert {key: report["ablation"][key] for key in ablation} == ablation
+
 
 class TestAudit:
     def test_byte_identical_reruns(self, workdir):
@@ -330,6 +339,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no non-race column is left to search" in err
         assert "k_max" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "ablate"])
+    def test_no_race_column_left_is_data_error(self, tmp_path, capsys, command):
+        # Every juror is black, so is_black is dropped as constant and the
+        # ablation has no race column to remove.
+        data = tmp_path / "all_black.csv"
+        data.write_text("trial_id,juror_id,is_black,struck_by_state,eligible,q,r\n" + "".join(
+            f"t1,j{i:03d},1,{int(i % 3 == 0)},1,{i % 2},{int(i // 2 % 2 == 0)}\n"
+            for i in range(90)
+        ))
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps(["q", "r"]))
+        out = tmp_path / "out"
+        assert main([command, "--input", str(data), "--catalog", str(catalog),
+                     "--out", str(out), "--folds", "3"]) == 2
+        assert "ablation requires race columns" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_missing_key_is_data_error(self, workdir, capsys):

@@ -278,11 +278,10 @@ class TestRaceAblation:
         # The supports are compared by name: the two runs index columns differently.
         assert search_free(ablated) == search_free(fresh)
 
-    def test_without_race_columns_the_second_search_solves_nothing(self):
+    def test_without_race_columns_the_ablation_raises(self):
         train, test, k_max, _ = race_path_instance(2)
-        full, ablated = race_ablation(train.without_race(), test.without_race(), k_max, 3, 0)
-        assert search_free(ablated) == search_free(full)
-        assert ablated.search.fits == 0
+        with pytest.raises(ValueError, match="ablation requires race columns"):
+            race_ablation(train.without_race(), test.without_race(), k_max, 3, 0)
 
     def test_race_columns_alone_leave_nothing_to_search(self):
         train, test, _, _ = race_path_instance(1)
