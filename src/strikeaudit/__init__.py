@@ -5,13 +5,7 @@ strike model (with race ablation), and optimal-tree segmentation of the
 juror population with per-segment disparity testing.
 """
 
-from .audit import (
-    AuditConfig,
-    AuditReport,
-    DisparityFinding,
-    leaf_disparity,
-    run_audit,
-)
+from .audit import AuditConfig, leaf_disparity, run_audit
 from .dataset import (
     FeatureMatrix,
     JurorTable,
@@ -39,7 +33,6 @@ from .errors import (
 from .logreg import FitSettings, LogisticModel, fit, gradient, nll, predict_proba, wald_pvalues
 from .stats import ContingencyTable, RocCurve, auc, fisher_exact, holm_adjust, roc_points
 from .subset import (
-    ImportanceProfile,
     SubsetPath,
     SubsetResult,
     backward_stepwise,

@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import logreg, stats, subset, tree as tree_mod
+from . import logreg, subset, tree as tree_mod
 from .dataset import (
     MISSING_POLICIES,
     RACE_FEATURE_NAMES,
@@ -24,45 +23,24 @@ from .dataset import (
     load_csv,
     split,
 )
-from .errors import StageError, StrikeAuditError, UndefinedTestError, reading_document
+from .errors import StageError, StrikeAuditError, UndefinedTestError, finite_real, reading_document
 from .logreg import FitSettings
 from .stats import ContingencyTable, fisher_exact, holm_adjust
-from .subset import DEFAULT_NODE_BUDGET, SubsetPath
+from .subset import DEFAULT_NODE_BUDGET
 from .tree import Tree, TreeSettings
 
 
-@dataclass
-class DisparityFinding:
-    """Per-leaf comparison of black vs non-black strike rates."""
-
-    leaf: int
-    path: tuple[str, ...]
-    n_black: int
-    struck_black: int
-    n_nonblack: int
-    struck_nonblack: int
-    rate_black: float | None
-    rate_nonblack: float | None
-    p_raw: float | None
-    p_adjusted: float | None
-    significant: bool
-    skipped: bool
-    reason: str | None = None
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "path": list(self.path)}
-
-
-def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> list[DisparityFinding]:
-    """Fisher-test every leaf's black vs non-black strike rates; adjust the
-    testable leaves jointly with Holm. Leaves with a degenerate margin are
-    skipped and excluded from the Holm family.
+def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> list[dict]:
+    """One finding document per leaf: its black vs non-black strike counts
+    and rates, Fisher p-value, and Holm-adjusted p-value over the testable
+    leaves. Leaves with a degenerate margin are skipped and excluded from
+    the Holm family.
     """
     if any(c in RACE_FEATURE_NAMES for c in tree.columns):
         raise StrikeAuditError("disparity testing requires a race-free tree")
     x, is_black, struck, _ = answer_matrix(table, tree.columns)
     routed = tree_mod.predict_leaves(tree, x)
-    findings: list[DisparityFinding] = []
+    findings: list[dict] = []
     testable: list[int] = []
     raw: list[float] = []
     for leaf_id in tree.leaf_ids():
@@ -71,9 +49,9 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
         n_nonblack = int(np.count_nonzero(here & ~is_black))
         struck_black = int(np.count_nonzero(here & is_black & struck))
         struck_nonblack = int(np.count_nonzero(here & ~is_black & struck))
-        finding = DisparityFinding(
+        finding = dict(
             leaf=leaf_id,
-            path=tuple(tree_mod.describe_path(tree, leaf_id)),
+            path=tree_mod.describe_path(tree, leaf_id),
             n_black=n_black,
             struck_black=struck_black,
             n_nonblack=n_nonblack,
@@ -84,6 +62,7 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
             p_adjusted=None,
             significant=False,
             skipped=False,
+            reason=None,
         )
         try:
             if n_black + n_nonblack == 0:
@@ -97,18 +76,16 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
                 )
             )
         except UndefinedTestError:
-            finding.skipped = True
-            finding.reason = "degenerate margin"
+            finding.update(skipped=True, reason="degenerate margin")
         else:
-            finding.p_raw = p
+            finding["p_raw"] = p
             testable.append(len(findings))
             raw.append(p)
         findings.append(finding)
     if raw:
         adjusted = holm_adjust(raw)
         for idx, p_adj in zip(testable, adjusted):
-            findings[idx].p_adjusted = float(p_adj)
-            findings[idx].significant = bool(p_adj < alpha_level)
+            findings[idx].update(p_adjusted=float(p_adj), significant=bool(p_adj < alpha_level))
     return findings
 
 
@@ -133,26 +110,23 @@ class AuditConfig:
     def __post_init__(self):
         # Checked once here, so that a malformed config file is a data error
         # and not a TypeError from deep inside a stage.
-        def real(v):
-            return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
         def listed(v, item):
             return isinstance(v, (list, tuple)) and all(map(item, v))
 
         rules = [
             ("input_path", isinstance(self.input_path, (str, Path)), "a path"),
             ("catalog", listed(self.catalog, lambda c: isinstance(c, str)), "a list of names"),
-            ("train_fraction", real(self.train_fraction) and 0 < self.train_fraction < 1,
+            ("train_fraction", finite_real(self.train_fraction) and 0 < self.train_fraction < 1,
              "a number in (0, 1)"),
             ("missing_policy", self.missing_policy in MISSING_POLICIES,
              f"one of {', '.join(MISSING_POLICIES)}"),
-            ("ridge", self.ridge is None or real(self.ridge) and self.ridge >= 0,
+            ("ridge", self.ridge is None or finite_real(self.ridge) and self.ridge >= 0,
              "null or a finite number >= 0"),
-            ("fit_tolerance", real(self.fit_tolerance) and self.fit_tolerance > 0,
+            ("fit_tolerance", finite_real(self.fit_tolerance) and self.fit_tolerance > 0,
              "a finite number > 0"),
-            ("alpha_grid", listed(self.alpha_grid, lambda a: real(a) and a >= 0)
+            ("alpha_grid", listed(self.alpha_grid, lambda a: finite_real(a) and a >= 0)
              and len(self.alpha_grid) > 0, "a non-empty list of finite numbers >= 0"),
-            ("alpha_level", real(self.alpha_level) and 0 < self.alpha_level < 1,
+            ("alpha_level", finite_real(self.alpha_level) and 0 < self.alpha_level < 1,
              "a number in (0, 1)"),
         ]
         for name, low in (("seed", 0), ("k_max", 1), ("folds", 2), ("max_iterations", 1),
@@ -204,38 +178,6 @@ class AuditConfig:
         return cls(**obj)
 
 
-@dataclass
-class AuditReport:
-    config: AuditConfig
-    dataset_digest: str
-    path: SubsetPath
-    ablated: SubsetPath  # the same search with the race columns excluded
-    tree_alpha: float
-    tree: Tree
-    findings: list[DisparityFinding]
-    dropped_columns: tuple[str, ...] = field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "provenance": {
-                "seed": self.config.seed,
-                "settings": self.config.to_json(),
-                "dataset_digest": self.dataset_digest,
-            },
-            "dropped_columns": list(self.dropped_columns),
-            "subset_path": subset.path_to_json(self.path),
-            "chosen_model": logreg.model_to_json(self.path.chosen_model, self.path.columns),
-            "importance": subset.importance_profile(self.path).to_json(),
-            "ablation": {
-                "auc_full": self.path.test_auc,
-                "auc_ablated": self.ablated.test_auc,
-                "search": asdict(self.ablated.search),
-            },
-            "tree": {"alpha": self.tree_alpha, **tree_mod.tree_to_json(self.tree)},
-            "findings": [f.to_json() for f in self.findings],
-        }
-
-
 @contextmanager
 def _stage(name: str):
     try:
@@ -246,10 +188,10 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def run_audit(cfg: AuditConfig) -> AuditReport:
+def run_audit(cfg: AuditConfig) -> dict:
     """Full pipeline: load, filter, encode, split, subset study with its race
     ablation (one stage), race-free tree with tuned complexity, per-leaf
-    disparity tests.
+    disparity tests. Returns the report.json document.
 
     Deterministic given config + seed; any stage failure is re-raised with
     the stage label.
@@ -274,20 +216,24 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
         )
     with _stage("disparity"):
         findings = leaf_disparity(fitted, eligible, cfg.alpha_level)
-    return AuditReport(
-        config=cfg,
-        dataset_digest=digest,
-        path=path,
-        ablated=ablated,
-        tree_alpha=alpha,
-        tree=fitted,
-        findings=findings,
-        dropped_columns=m.dropped_columns,
-    )
+    return {
+        "provenance": {"seed": cfg.seed, "settings": cfg.to_json(), "dataset_digest": digest},
+        "dropped_columns": list(m.dropped_columns),
+        "subset_path": subset.path_to_json(path),
+        "chosen_model": logreg.model_to_json(path.chosen_model, path.columns),
+        "importance": subset.importance_profile(path),
+        "ablation": {
+            "auc_full": path.test_auc,
+            "auc_ablated": ablated.test_auc,
+            "search": asdict(ablated.search),
+        },
+        "tree": {"alpha": alpha, **tree_mod.tree_to_json(fitted)},
+        "findings": findings,
+    }
 
 
 def findings_csv(findings: list[dict]) -> str:
-    """DisparityFinding.to_json documents, one row per leaf."""
+    """leaf_disparity's finding documents, one row per leaf."""
     header = (
         "leaf,path,n_black,struck_black,n_nonblack,struck_nonblack,"
         "rate_black,rate_nonblack,p_raw,p_adjusted,significant,skipped,reason"
@@ -334,7 +280,6 @@ def write_files(outdir, files: dict[str, str]) -> None:
         (out / name).write_text(text)
 
 
-def write_outputs(report: AuditReport, outdir) -> None:
-    """Emit report.json plus the fixed-name files rendered from it."""
-    doc = report.to_json()
+def write_outputs(doc: dict, outdir) -> None:
+    """Emit the report.json document plus the fixed-name files rendered from it."""
     write_files(outdir, {"report.json": json_text(doc), **report_files(doc)})

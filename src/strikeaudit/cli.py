@@ -118,14 +118,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _uncertified(path: subset.SubsetPath) -> str:
-    """Summary-line suffix naming the subset sizes not certified optimal."""
-    ks = [e.k for e in path.entries if not e.certified]
+def _uncertified(path_doc: dict) -> str:
+    """Summary-line suffix naming the subset sizes of a path_to_json document
+    not certified optimal."""
+    ks = [e["k"] for e in path_doc["entries"] if not e["certified"]]
     return f" uncertified_k={ks}" if ks else ""
 
 
 def _finding_line(f: dict) -> str:
-    """One line for a DisparityFinding.to_json document."""
+    """One line for a leaf_disparity finding document."""
     where = " & ".join(f["path"]) or "(root)"
     if f["skipped"]:
         return f"leaf {f['leaf']} [{where}]: skipped ({f['reason']})"
@@ -147,9 +148,9 @@ def _cmd_ofs(args) -> int:
     write_files(args.out, {
         "subset_path.json": json_text(path_doc),
         "ofs_curve.csv": subset.curve_csv(path_doc),
-        "importance.csv": subset.importance_csv(subset.importance_profile(path).to_json()),
+        "importance.csv": subset.importance_csv(subset.importance_profile(path)),
     })
-    print(f"chosen_k={path.chosen_k} test_auc={path.test_auc:.4f}{_uncertified(path)}")
+    print(f"chosen_k={path.chosen_k} test_auc={path.test_auc:.4f}{_uncertified(path_doc)}")
     return 0
 
 
@@ -164,8 +165,9 @@ def _cmd_stepwise(args) -> int:
 
 def _cmd_tree(args) -> int:
     cfg = _config(args)
+    train, _ = dataset.split(_matrix(cfg), cfg.train_fraction, cfg.seed)
     alpha, fitted = tree_mod.tune_alpha(
-        _matrix(cfg).without_race(), cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),
+        train.without_race(), cfg.alpha_grid, cfg.folds, cfg.seed, cfg.tree_settings(),
     )
     text = tree_mod.tree_to_text(fitted)
     write_files(args.out, {
@@ -183,12 +185,11 @@ def _cmd_disparity(args) -> int:
     eligible = dataset.filter_eligible(dataset.load_csv(cfg.input_path, cfg.catalog))
     fitted = tree_mod.tree_from_json(json.loads(Path(args.tree).read_text()))
     findings = audit_mod.leaf_disparity(fitted, eligible, cfg.alpha_level)
-    docs = [f.to_json() for f in findings]
     write_files(args.out, {
-        "disparity.csv": audit_mod.findings_csv(docs),
-        "disparity.json": json_text(docs),
+        "disparity.csv": audit_mod.findings_csv(findings),
+        "disparity.json": json_text(findings),
     })
-    for f in docs:
+    for f in findings:
         print(_finding_line(f))
     return 0
 
@@ -210,14 +211,15 @@ def _cmd_audit(args) -> int:
     settings = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(settings, dict):
         raise StrikeAuditError(f"config file {args.config} must hold a JSON object")
-    report = audit_mod.run_audit(_config(args, settings))
-    audit_mod.write_outputs(report, args.out)
-    flagged = [f.leaf for f in report.findings if f.significant]
+    doc = audit_mod.run_audit(_config(args, settings))
+    audit_mod.write_outputs(doc, args.out)
+    path_doc, ablation = doc["subset_path"], doc["ablation"]
+    flagged = [f["leaf"] for f in doc["findings"] if f["significant"]]
     print(f"report written to {Path(args.out) / 'report.json'}")
     print(
-        f"chosen_k={report.path.chosen_k} auc_full={report.path.test_auc:.4f} "
-        f"auc_ablated={report.ablated.test_auc:.4f} significant_leaves={flagged}"
-        f"{_uncertified(report.path)}"
+        f"chosen_k={path_doc['chosen_k']} auc_full={ablation['auc_full']:.4f} "
+        f"auc_ablated={ablation['auc_ablated']:.4f} significant_leaves={flagged}"
+        f"{_uncertified(path_doc)}"
     )
     return 0
 
@@ -267,8 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="p-value thresholds per pass (default 0.1,0.05)")
     stepwise.set_defaults(func=_cmd_stepwise)
 
-    tree_cmd = commands.add_parser("tree", help="fit the segmentation tree (race excluded)")
+    tree_cmd = commands.add_parser(
+        "tree", help="fit the segmentation tree (race excluded) on the training split")
     _add_common(tree_cmd)
+    _setting(tree_cmd, "--train-fraction", "training share of the stratified split", type=float)
     _add_tree_flags(tree_cmd)
     _setting(tree_cmd, "--folds", "cross-validation folds for alpha tuning", type=int)
     tree_cmd.set_defaults(func=_cmd_tree)

@@ -334,15 +334,6 @@ class SplitSpec:
             right=cls.from_json(obj["right"]),
         )
 
-    def to_json(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": self.leaf_id}
-        return {
-            "feature": self.feature,
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
-
 
 @dataclass
 class SynthConfig:
@@ -398,15 +389,6 @@ class SynthConfig:
                 black_fraction=float(obj["black_fraction"]),
                 feature_marginals={str(k): v for k, v in obj["feature_marginals"].items()},
             )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "tree_spec": self.tree_spec.to_json(),
-            "leaf_rates": {k: list(v) for k, v in self.leaf_rates.items()},
-            "black_fraction": self.black_fraction,
-            "feature_marginals": {k: list(v) for k, v in self.feature_marginals.items()},
-        }
 
 
 def _strike_rates(spec: SplitSpec, cfg: SynthConfig, present: dict, is_black) -> np.ndarray:

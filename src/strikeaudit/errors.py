@@ -1,6 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, and the value checks behind them, shared across the toolkit."""
 
+import math
+import numbers
 from contextlib import contextmanager
+
+
+def finite_real(v) -> bool:
+    """A finite number and not a bool: what every float setting must be."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class StrikeAuditError(Exception):

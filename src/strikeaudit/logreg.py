@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityError
+from .errors import CollinearityError, finite_real
 from .dataset import FeatureMatrix
 
 DEFAULT_TOLERANCE = 1e-8
@@ -46,9 +46,9 @@ class FitSettings:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
-        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
+        if self.ridge is not None and not (finite_real(self.ridge) and self.ridge >= 0):
             raise ValueError(f"ridge must be a finite number >= 0, got {self.ridge!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (finite_real(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
         v = self.max_iterations
         if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):

@@ -308,25 +308,10 @@ def backward_stepwise(m: FeatureMatrix, thresholds=(0.1, 0.05)) -> LogisticModel
     return logreg.fit(m, support, settings)
 
 
-@dataclass
-class ImportanceProfile:
-    """Relative importance (normalized |coefficient|) per subset size."""
-
-    ks: tuple[int, ...]
-    columns: tuple[str, ...]
-    values: np.ndarray  # len(ks) x len(columns), rows sum to 1 or are zero
-
-    def to_json(self) -> dict:
-        return {
-            "ks": list(self.ks),
-            "columns": list(self.columns),
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-
-
-def importance_profile(path: SubsetPath) -> ImportanceProfile:
-    """Importance of feature j at size k: |beta_j| / sum of |beta| over the
-    selected support (binary features share a scale). Unselected get 0."""
+def importance_profile(path: SubsetPath) -> dict:
+    """The {ks, columns, values} document of importance per subset size:
+    values[i][j] is |beta_j| / sum of |beta| over the support selected at
+    size ks[i] (binary features share a scale); unselected columns get 0."""
     values = np.zeros((len(path.entries), len(path.columns)))
     for row, model in enumerate(path.models):
         magnitudes = np.abs(model.beta)
@@ -334,9 +319,11 @@ def importance_profile(path: SubsetPath) -> ImportanceProfile:
         if total > 0:
             for j, magnitude in zip(model.support, magnitudes):
                 values[row, j] = magnitude / total
-    return ImportanceProfile(
-        ks=tuple(e.k for e in path.entries), columns=path.columns, values=values
-    )
+    return {
+        "ks": [e.k for e in path.entries],
+        "columns": list(path.columns),
+        "values": values.tolist(),
+    }
 
 
 def path_to_json(path: SubsetPath) -> dict:
@@ -368,7 +355,7 @@ def curve_csv(path_doc: dict) -> str:
 
 
 def importance_csv(profile_doc: dict) -> str:
-    """An ImportanceProfile.to_json document, one row per subset size."""
+    """An importance_profile document, one row per subset size."""
     lines = ["k," + ",".join(profile_doc["columns"])]
     for k, row in zip(profile_doc["ks"], profile_doc["values"]):
         lines.append(f"{k}," + ",".join(repr(float(v)) for v in row))

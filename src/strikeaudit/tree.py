@@ -18,14 +18,15 @@ therefore lends one table of that level to all of a fold's fits.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .dataset import FeatureMatrix, RACE_FEATURE_NAMES, stratified_folds
-from .errors import ContractViolationError, DegenerateDataError, SchemaError, reading_document
+from .errors import (
+    ContractViolationError, DegenerateDataError, SchemaError, finite_real, reading_document,
+)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class TreeSettings:
             v = getattr(self, name)
             if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+        if not (finite_real(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
 
 

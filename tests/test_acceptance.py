@@ -319,7 +319,7 @@ def test_criterion_09_disparity_power_and_calibration():
         findings = leaf_disparity(tree, table, alpha_level=0.05)
         node4_row = [1.0 if c == "know_def" else 0.0 for c in tree.columns]
         leaf_id, _ = predict_leaf(tree, node4_row)
-        power += bool(next(f for f in findings if f.leaf == leaf_id).significant)
+        power += bool(next(f for f in findings if f["leaf"] == leaf_id)["significant"])
 
     null_clean = 0
     for seed in range(20):
@@ -328,7 +328,7 @@ def test_criterion_09_disparity_power_and_calibration():
         m = build_matrix(table)
         tree = fit_tree(m.without_race(), TreeSettings())
         findings = leaf_disparity(tree, table, alpha_level=0.05)
-        null_clean += not any(f.significant for f in findings)
+        null_clean += not any(f["significant"] for f in findings)
     report(
         9, "planted 85%-vs-20% leaf flagged after Holm; null stays clean",
         power >= 18 and null_clean >= 18,
@@ -407,16 +407,16 @@ def test_criterion_12_external_court_records():
         )
     )
     survivors = {
-        report_obj.path.columns[j] for j in stepwise_model.support
+        report_obj["importance"]["columns"][j] for j in stepwise_model.support
     }
     expected_survivors = {
         "is_black", "accused", "fam_accused", "fam_law_enforcement",
         "death_hesitation", "know_def", "same_race",
     }
     ok = (
-        abs(report_obj.path.chosen_k - 11) <= 2
-        and abs(report_obj.path.test_auc - 0.815) <= 0.03
-        and abs(report_obj.ablated.test_auc - 0.672) <= 0.03
+        abs(report_obj["subset_path"]["chosen_k"] - 11) <= 2
+        and abs(report_obj["subset_path"]["test_auc"] - 0.815) <= 0.03
+        and abs(report_obj["ablation"]["auc_ablated"] - 0.672) <= 0.03
         and survivors == expected_survivors
     )
     report(12, "published dataset reproduces headline numbers", ok)

@@ -78,25 +78,25 @@ class TestLeafDisparity:
         findings = leaf_disparity(paper_tree(), table)
         assert len(findings) == 5
         for f in findings:
-            assert not f.skipped
-            assert f.p_raw == pytest.approx(1.0, abs=1e-12)
-            assert not f.significant
+            assert not f["skipped"]
+            assert f["p_raw"] == pytest.approx(1.0, abs=1e-12)
+            assert not f["significant"]
 
     def test_planted_node4_disparity_significant(self):
         # black 17/20 struck vs non-black 8/40: 85% vs 20%
         table = five_leaf_table()
         findings = leaf_disparity(paper_tree(), table, alpha_level=0.05)
-        by_path = {f.path: f for f in findings}
+        by_path = {tuple(f["path"]): f for f in findings}
         node4 = by_path[("accused = no", "know_def = yes")]
-        assert node4.rate_black == pytest.approx(0.85)
-        assert node4.rate_nonblack == pytest.approx(0.20)
+        assert node4["rate_black"] == pytest.approx(0.85)
+        assert node4["rate_nonblack"] == pytest.approx(0.20)
         expected_p = float(fisher_two_sided_exact(17, 3, 8, 32))
-        assert node4.p_raw == pytest.approx(expected_p, abs=1e-12)
+        assert node4["p_raw"] == pytest.approx(expected_p, abs=1e-12)
         # Holm across the 5 testable leaves keeps it significant
-        assert node4.p_adjusted == pytest.approx(min(1.0, 5 * expected_p), abs=1e-9)
-        assert node4.significant
-        others = [f for f in findings if f.path != node4.path]
-        assert not any(f.significant for f in others)
+        assert node4["p_adjusted"] == pytest.approx(min(1.0, 5 * expected_p), abs=1e-9)
+        assert node4["significant"]
+        others = [f for f in findings if f["path"] != node4["path"]]
+        assert not any(f["significant"] for f in others)
 
     def test_single_race_leaf_is_skipped(self):
         records = []
@@ -107,19 +107,19 @@ class TestLeafDisparity:
                 records.extend(records_for_leaf(leaf, answers, 10, 5, 20, 10))
         table = table_from_records(records, TREE_FEATURES)
         findings = leaf_disparity(paper_tree(), table)
-        flagged = [f for f in findings if f.skipped]
+        flagged = [f for f in findings if f["skipped"]]
         assert len(flagged) == 1
-        assert flagged[0].reason == "degenerate margin"
-        assert flagged[0].p_adjusted is None
-        assert not flagged[0].significant
+        assert flagged[0]["reason"] == "degenerate margin"
+        assert flagged[0]["p_adjusted"] is None
+        assert not flagged[0]["significant"]
         # the Holm family is only the testable leaves
-        testable = [f for f in findings if not f.skipped]
-        assert all(f.p_adjusted >= f.p_raw - 1e-15 for f in testable)
+        testable = [f for f in findings if not f["skipped"]]
+        assert all(f["p_adjusted"] >= f["p_raw"] - 1e-15 for f in testable)
 
     def test_findings_partition_the_table(self):
         table = five_leaf_table()
         findings = leaf_disparity(paper_tree(), table)
-        assert sum(f.n_black + f.n_nonblack for f in findings) == len(table.is_black)
+        assert sum(f["n_black"] + f["n_nonblack"] for f in findings) == len(table.is_black)
 
     def test_missing_answers_route_as_no(self):
         records = records_for_leaf("x", {"accused": None, "know_def": None,
@@ -127,10 +127,10 @@ class TestLeafDisparity:
                                    10, 5, 12, 6)
         table = table_from_records(records, TREE_FEATURES)
         findings = leaf_disparity(paper_tree(), table)
-        remainder = {f.path: f for f in findings}[
+        remainder = {tuple(f["path"]): f for f in findings}[
             ("accused = no", "know_def = no", "fam_accused = no", "death_hesitation = no")
         ]
-        assert remainder.n_black + remainder.n_nonblack == 22
+        assert remainder["n_black"] + remainder["n_nonblack"] == 22
 
     def test_tree_column_outside_catalog_rejected(self):
         # Without the check every juror reads know_def = no: the biased leaf
@@ -146,14 +146,14 @@ class TestLeafDisparity:
         records = [r for r in five_leaf_records() if not r["juror_id"].startswith("remaindern")]
         table = table_from_records(records, TREE_FEATURES)
         findings = leaf_disparity(paper_tree(), table)
-        assert any(f.skipped for f in findings) and any(f.significant for f in findings)
+        assert any(f["skipped"] for f in findings) and any(f["significant"] for f in findings)
         for f in findings:
-            assert json.loads(json.dumps(f.to_json())) == f.to_json()
+            assert json.loads(json.dumps(f)) == f
 
     def test_csv_rendering(self):
         table = five_leaf_table()
         findings = leaf_disparity(paper_tree(), table)
-        text = findings_csv([f.to_json() for f in findings])
+        text = findings_csv(findings)
         lines = text.strip().splitlines()
         assert lines[0].startswith("leaf,path,")
         assert len(lines) == 1 + len(findings)
@@ -176,14 +176,15 @@ class TestDisparityProperties:
         # Each juror is counted in the one leaf whose path it satisfies, with
         # a missing answer read as no.
         for f in findings:
-            conditions = [c.split(" = ") for c in f.path]
+            conditions = [c.split(" = ") for c in f["path"]]
             here = [r for r in records
                     if all(bool(r["answers"][name]) == (value == "yes") for name, value in conditions)]
             black = [r for r in here if r["is_black"]]
-            assert (f.n_black, f.n_nonblack) == (len(black), len(here) - len(black))
-            assert f.struck_black == sum(r["struck_by_state"] for r in black)
-            assert f.struck_nonblack == sum(r["struck_by_state"] for r in here) - f.struck_black
-        assert sum(f.n_black + f.n_nonblack for f in findings) == n
+            assert (f["n_black"], f["n_nonblack"]) == (len(black), len(here) - len(black))
+            assert f["struck_black"] == sum(r["struck_by_state"] for r in black)
+            assert (f["struck_nonblack"]
+                    == sum(r["struck_by_state"] for r in here) - f["struck_black"])
+        assert sum(f["n_black"] + f["n_nonblack"] for f in findings) == n
         shuffled = [records[i] for i in rng.permutation(n)]
         assert leaf_disparity(paper_tree(), table_from_records(shuffled, TREE_FEATURES)) == findings
 
@@ -270,7 +271,7 @@ class TestRenamingProperty:
     @pytest.fixture(scope="class")
     def audited(self, tmp_path_factory):
         cfg = disparity_audit_config(tmp_path_factory.mktemp("rename"), seed=2, n=600)
-        return cfg, run_audit(cfg).to_json()
+        return cfg, run_audit(cfg)
 
     # Letters a-j and "_" spell no required column and no race feature name.
     @given(st.lists(st.text(alphabet="abcdefghij_", min_size=1, max_size=8),
@@ -282,7 +283,7 @@ class TestRenamingProperty:
         path = Path(cfg.input_path).with_name("renamed.csv")
         header, body = Path(cfg.input_path).read_text().split("\n", 1)
         path.write_text(",".join(names.get(c, c) for c in header.split(",")) + "\n" + body)
-        renamed = run_audit(replace(cfg, input_path=str(path), catalog=tuple(new_names))).to_json()
+        renamed = run_audit(replace(cfg, input_path=str(path), catalog=tuple(new_names)))
         want = _renamed(doc, names)
         want["provenance"]["settings"]["input_path"] = str(path)
         want["provenance"]["dataset_digest"] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -292,21 +293,21 @@ class TestRenamingProperty:
 class TestRunAudit:
     def test_end_to_end_report(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=3, n=1200)
-        report = run_audit(cfg)
-        assert len(report.dataset_digest) == 64
-        assert report.path.chosen_k in (1, 2, 3)
+        doc = run_audit(cfg)
+        assert len(doc["provenance"]["dataset_digest"]) == 64
+        assert doc["subset_path"]["chosen_k"] in (1, 2, 3)
         # every leaf has exactly one finding
-        assert sorted(f.leaf for f in report.findings) == sorted(report.tree.leaf_ids())
-        assert sum(f.n_black + f.n_nonblack for f in report.findings) == 1200
-        assert 0.0 <= report.ablated.test_auc <= report.path.test_auc <= 1.0
-        doc = report.to_json()
-        assert doc["provenance"]["dataset_digest"] == report.dataset_digest
-        assert doc["ablation"]["auc_full"] == report.path.test_auc
+        leaf_ids = tree_from_json(doc["tree"]).leaf_ids()
+        assert sorted(f["leaf"] for f in doc["findings"]) == sorted(leaf_ids)
+        assert sum(f["n_black"] + f["n_nonblack"] for f in doc["findings"]) == 1200
+        test_auc = doc["subset_path"]["test_auc"]
+        assert 0.0 <= doc["ablation"]["auc_ablated"] <= test_auc <= 1.0
+        assert doc["ablation"]["auc_full"] == test_auc
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=4, n=900)
-        a = json.dumps(run_audit(cfg).to_json(), indent=2, sort_keys=True)
-        b = json.dumps(run_audit(cfg).to_json(), indent=2, sort_keys=True)
+        a = json.dumps(run_audit(cfg), indent=2, sort_keys=True)
+        b = json.dumps(run_audit(cfg), indent=2, sort_keys=True)
         assert a == b
 
     def test_report_bytes_ignore_earlier_audits_in_the_process(self, tmp_path):
@@ -314,7 +315,7 @@ class TestRunAudit:
             "import json, sys\n"
             "from strikeaudit.audit import AuditConfig, json_text, run_audit\n"
             "for path in sys.argv[1:]:\n"
-            "    doc = run_audit(AuditConfig.from_json(json.loads(open(path).read()))).to_json()\n"
+            "    doc = run_audit(AuditConfig.from_json(json.loads(open(path).read())))\n"
             "print(json_text(doc))\n"
         )
         paths = []
@@ -329,12 +330,13 @@ class TestRunAudit:
 
     def test_digest_tracks_input_bytes(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=5, n=900)
-        first = run_audit(cfg).dataset_digest
-        again = run_audit(cfg).dataset_digest
+        digest = lambda c: run_audit(c)["provenance"]["dataset_digest"]
+        first = digest(cfg)
+        again = digest(cfg)
         assert first == again
         # regenerate with another seed: different bytes, different digest
         other = disparity_audit_config(tmp_path, seed=6, n=900)
-        assert run_audit(other).dataset_digest != first
+        assert digest(other) != first
 
     def test_stage_error_labels_the_stage(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=7, n=900)
@@ -354,7 +356,9 @@ class TestRunAudit:
         for name in ("report.json", "ofs_curve.csv", "importance.csv", "tree.json", "disparity.csv"):
             assert (out / name).exists(), name
         doc = json.loads((out / "tree.json").read_text())
-        assert tree_from_json(doc) == report.tree
+        assert tree_from_json(doc) == tree_from_json(report["tree"])
+        # The returned document is the report.json written from it.
+        assert json.loads((out / "report.json").read_text()) == report
 
     def test_search_counts_in_report(self, tmp_path, monkeypatch):
         solved = []
@@ -366,7 +370,7 @@ class TestRunAudit:
             return model
 
         monkeypatch.setattr(logreg, "fit", counting_fit)
-        doc = run_audit(disparity_audit_config(tmp_path, seed=11, n=900)).to_json()
+        doc = run_audit(disparity_audit_config(tmp_path, seed=11, n=900))
         full, ablation = doc["subset_path"]["search"], doc["ablation"]["search"]
         assert set(full) == set(ablation) == {"fits", "memo_hits", "unconverged"}
         assert full["fits"] + ablation["fits"] == len(solved)

@@ -146,6 +146,20 @@ class TestTreeAndDisparity:
         lines = (dout / "disparity.csv").read_text().strip().splitlines()
         assert len(lines) >= 2
 
+    @pytest.mark.parametrize("split", [[], ["--train-fraction", "0.6"]])
+    def test_tree_then_disparity_reproduce_the_audit(self, workdir, split):
+        # tree tunes on the audit's training split, so the two stage commands
+        # write the audit's tree.json and disparity.csv.
+        tail = ["--seed", "1", "--folds", "3", *split]
+        flags, audit_out = io_flags(workdir, "stages_audit")
+        assert main(["audit", *flags, *tail, "--k-max", "1"]) == 0
+        flags, tree_out = io_flags(workdir, "stages_tree")
+        assert main(["tree", *flags, *tail]) == 0
+        flags, disparity_out = io_flags(workdir, "stages_disparity")
+        assert main(["disparity", *flags, "--tree", str(tree_out / "tree.json")]) == 0
+        for out, name in ((tree_out, "tree.json"), (disparity_out, "disparity.csv")):
+            assert (out / name).read_bytes() == (audit_out / name).read_bytes(), name
+
     def test_tree_column_outside_catalog_is_data_error(self, workdir, capsys):
         flags, out = io_flags(workdir, "tree_know_def")
         assert main(["tree", *flags, "--seed", "2", *FAST_TREE_FLAGS]) == 0

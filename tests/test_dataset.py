@@ -598,10 +598,25 @@ class TestSynthGenerate:
                 feature_marginals={f: 0.3 for f in paper_shaped_spec().features()},
             )
 
-    def test_json_round_trip(self):
-        cfg = paper_shaped_config(100)
-        back = SynthConfig.from_json(cfg.to_json())
-        assert back.to_json() == cfg.to_json()
+    def test_from_json_reads_the_documented_layout(self):
+        doc = {
+            "n": 100,
+            "tree_spec": {"feature": "accused", "left": {"leaf": "rest"},
+                          "right": {"leaf": "accused_yes"}},
+            "leaf_rates": {"accused_yes": [0.93, 0.93], "rest": {"black": 0.6, "nonblack": 0.2}},
+            "black_fraction": 0.5,
+            "feature_marginals": {"accused": 0.25, "know_def": [0.6, 0.1]},
+        }
+        leaf = lambda name: SplitSpec(leaf_id=name)
+        cfg = SynthConfig(
+            n=100,
+            tree_spec=SplitSpec(feature="accused", left=leaf("rest"), right=leaf("accused_yes")),
+            leaf_rates={"accused_yes": (0.93, 0.93), "rest": (0.6, 0.2)},
+            black_fraction=0.5,
+            feature_marginals={"accused": (0.25, 0.25), "know_def": (0.6, 0.1)},
+        )
+        back = SynthConfig.from_json(doc)
+        assert back == cfg
         assert table_records(synth_generate(back, 5)) == table_records(synth_generate(cfg, 5))
 
     def test_null_rates_do_not_plant_bias(self):

@@ -225,6 +225,7 @@ class TestFit:
         {"ridge": -0.1}, {"ridge": math.inf}, {"ridge": math.nan},
         {"tolerance": 0.0}, {"tolerance": math.inf}, {"tolerance": math.nan},
         {"max_iterations": 0}, {"max_iterations": 2.5}, {"max_iterations": True},
+        {"ridge": True}, {"ridge": "0.1"}, {"tolerance": True}, {"tolerance": "1e-8"},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):

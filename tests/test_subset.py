@@ -358,19 +358,19 @@ class TestImportanceProfile:
     def test_k1_importance_is_one(self):
         path = self.make_path()
         profile = importance_profile(path)
-        assert profile.values[0].sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.count_nonzero(profile.values[0]) == 1
+        assert sum(profile["values"][0]) == pytest.approx(1.0, abs=1e-9)
+        assert np.count_nonzero(profile["values"][0]) == 1
 
     def test_rows_sum_to_one(self):
         profile = importance_profile(self.make_path(1))
-        for row in profile.values:
-            assert row.sum() == pytest.approx(1.0, abs=1e-9)
+        for row in profile["values"]:
+            assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
     def test_unselected_features_are_zero(self):
         path = self.make_path(2)
         profile = importance_profile(path)
-        for entry, row in zip(path.entries, profile.values):
-            unselected = set(range(len(profile.columns))) - set(entry.support)
+        for entry, row in zip(path.entries, profile["values"]):
+            unselected = set(range(len(profile["columns"]))) - set(entry.support)
             assert all(row[j] == 0.0 for j in unselected)
 
     def test_dominant_feature_leads_everywhere(self):
@@ -378,11 +378,11 @@ class TestImportanceProfile:
         train, test = split(m, 0.7, 0)
         path = subset_path(train, test, k_max=4, folds=3, seed=2)
         profile = importance_profile(path)
-        for row in profile.values:
+        for row in profile["values"]:
             assert int(np.argmax(row)) == 2
 
     def test_csv_header(self):
         path = self.make_path(3)
-        text = importance_csv(importance_profile(path).to_json())
+        text = importance_csv(importance_profile(path))
         header = text.splitlines()[0]
         assert header == "k," + ",".join(path.columns)

@@ -272,7 +272,7 @@ class TestTuneAlpha:
         assert alpha == 0.02
         assert tree.n_leaves() >= 1
 
-    @pytest.mark.parametrize("alpha", [-0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("alpha", [-0.1, math.inf, math.nan, True, "0.1"])
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             TreeSettings(alpha=alpha)
