@@ -6,6 +6,7 @@ All operations are pure given (input, seed).
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import numbers
@@ -67,11 +68,13 @@ class JurorTable:
             raise ValueError("every column needs one entry per juror")
         if not np.isin(self.answers, (-1, 0, 1)).all():
             raise ValueError("answers must be 1, 0 or -1 (missing)")
-        seen: set[tuple[str, str]] = set()
-        for trial, juror in zip(self.trial_id.tolist(), self.juror_id.tolist()):
-            if (trial, juror) in seen:
-                raise ParseError(f"duplicate juror_id {juror!r} within trial {trial!r}")
-            seen.add((trial, juror))
+        pairs = list(zip(self.trial_id.tolist(), self.juror_id.tolist()))
+        if len(set(pairs)) < len(pairs):
+            seen: set[tuple[str, str]] = set()
+            for trial, juror in pairs:  # name the first repeat in row order
+                if (trial, juror) in seen:
+                    raise ParseError(f"duplicate juror_id {juror!r} within trial {trial!r}")
+                seen.add((trial, juror))
 
     def __len__(self) -> int:
         return self.is_black.size
@@ -81,8 +84,9 @@ def load_csv(path, catalog) -> JurorTable:
     """Read juror records; answer cells use "1"/"0"/"" for yes/no/missing.
 
     A UTF-8 byte-order mark is skipped and blank lines are ignored. A
-    malformed file raises at its first fault in row order (a short row, or a
-    bad cell, catalog columns before the flags), naming the file line.
+    malformed file raises at its first fault in row order (a row whose field
+    count is not the header's, or a bad cell, catalog columns before the
+    flags), naming the file line.
     """
     catalog = tuple(catalog)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -98,8 +102,8 @@ def load_csv(path, catalog) -> JurorTable:
             if row:
                 rows.append(row)
                 lines.append(reader.line_num)  # the record's last line
-    short = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) < len(header))
-    n = int(short[0]) if short.size else len(rows)  # rows before the first short one
+    ragged = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
+    n = int(ragged[0]) if ragged.size else len(rows)  # rows before the first ragged one
     names = (*catalog, *FLAG_COLUMNS)
     index = [header.index(c) for c in names]
     cells = chain.from_iterable(map(itemgetter(*index), rows[:n]))
@@ -129,11 +133,19 @@ def write_csv(table: JurorTable, path) -> None:
         writer.writerows([trial, juror, *rest] for (trial, juror), rest in zip(ids, cells))
 
 
+def _subset(checked, **fields):
+    """A copy of a JurorTable or FeatureMatrix with the given fields replaced
+    by subsets of its own. A subset passes every check its source passed, so
+    the constructor's checks are not run again."""
+    out = copy.copy(checked)
+    out.__dict__.update(fields)
+    return out
+
+
 def filter_eligible(table: JurorTable) -> JurorTable:
     """Keep only jurors the State could have struck, in original order."""
     keep = table.eligible
-    return JurorTable(table.feature_catalog, *(getattr(table, c)[keep] for c in REQUIRED_COLUMNS),
-                      table.answers[keep])
+    return _subset(table, **{c: getattr(table, c)[keep] for c in (*REQUIRED_COLUMNS, "answers")})
 
 
 @dataclass(frozen=True)
@@ -174,24 +186,17 @@ class FeatureMatrix:
 
     def take_rows(self, idx) -> "FeatureMatrix":
         idx = np.asarray(idx, dtype=int)
-        return FeatureMatrix(
-            x=self.x[idx],
-            columns=self.columns,
-            y=self.y[idx],
-            race_columns=self.race_columns,
-            dropped_columns=self.dropped_columns,
-        )
+        return _subset(self, x=self.x[idx], y=self.y[idx])
 
     def without_columns(self, drop) -> "FeatureMatrix":
         drop = set(drop)
         keep = [j for j in range(self.p) if j not in drop]
         remap = {j: i for i, j in enumerate(keep)}
-        return FeatureMatrix(
+        return _subset(
+            self,
             x=self.x[:, keep],
             columns=tuple(self.columns[j] for j in keep),
-            y=self.y,
             race_columns=frozenset(remap[j] for j in self.race_columns if j in remap),
-            dropped_columns=self.dropped_columns,
         )
 
     def without_race(self) -> "FeatureMatrix":
@@ -268,7 +273,8 @@ def split(m: FeatureMatrix, train_fraction: float, seed: int) -> tuple[FeatureMa
 
 
 def stratified_folds(y, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic stratified k-fold assignment: list of (train, val) indices."""
+    """Deterministic stratified k-fold assignment of 0/1 labels: list of
+    (train, val) indices."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     y = np.asarray(y, dtype=int)
@@ -283,7 +289,7 @@ def stratified_folds(y, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndar
         val = np.flatnonzero(assignment == f)
         train = np.flatnonzero(assignment != f)
         for part, name in ((val, "validation"), (train, "training")):
-            if np.unique(y[part]).size < 2:
+            if np.count_nonzero(y[part]) in (0, part.size):
                 raise StratificationError(
                     f"fold {f}: {name} part contains a single class"
                 )

@@ -104,7 +104,7 @@ def _check_binary_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be 1-d sequences of equal length")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0/1")
     y = y.astype(int)
     if y.sum() == 0 or y.sum() == y.size:

@@ -305,6 +305,9 @@ def reference_load_csv(path, catalog) -> list[dict]:
             if None in row.values():  # DictReader pads a short row with None
                 fields = next(i for i, name in enumerate(header) if row[name] is None)
                 raise ParseError(f"line {line} has {fields} fields, header has {len(header)}")
+            if None in row:  # and files a long row's extra fields under the key None
+                fields = len(header) + len(row[None])
+                raise ParseError(f"line {line} has {fields} fields, header has {len(header)}")
             answers = {}
             for name in catalog:
                 cell = row[name]

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from strikeaudit.dataset import (
     MISSING_POLICIES,
@@ -187,6 +188,18 @@ class TestCsv:
         with pytest.raises(ParseError, match=r"^line 3 has 4 fields, header has 6$"):
             load_csv(path, ("accused",))
 
+    def test_long_row_names_its_field_count(self, tmp_path):
+        # an unquoted id holding a comma: its row used to load shifted, the
+        # juror read as ineligible
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            "t1,j1,0,1,1,1\n"
+            "t1,j2,1,1,0,1,0\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 3 has 7 fields, header has 6$"):
+            load_csv(path, ("accused",))
+
     def test_bad_cell_before_short_row_is_reported_first(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text(
@@ -203,8 +216,8 @@ def juror_files(draw):
     """(file bytes, catalog): a header in random order with an unused column,
     ids that repeat across trials (some quoted, one holding a newline, one
     that is another id plus a NUL), flags, answers 1/0/"", and now and then
-    a blank line, a malformed cell, a short row, a byte-order mark or a
-    catalog name that collides with a flag."""
+    a blank line, a malformed cell, a short or long row, a byte-order mark or
+    a catalog name that collides with a flag."""
     catalog = draw(st.permutations(["a1", "a2", "a3"]))[: draw(st.integers(1, 3))]
     if draw(st.integers(0, 9)) == 0:
         catalog.append("eligible")
@@ -228,6 +241,8 @@ def juror_files(draw):
             row[draw(st.integers(0, len(row) - 1))] = ("", "2")[fault]
         elif fault == 2:
             row = row[: draw(st.integers(1, len(row) - 1))]
+        elif fault == 3:
+            row += [draw(cells["note"]) for _ in range(draw(st.integers(1, 2)))]
         writer.writerow(row)
     bom = "\ufeff" if draw(st.booleans()) else ""
     return (bom + out.getvalue()).encode("utf-8"), tuple(catalog)
@@ -272,7 +287,62 @@ class TestLoaderOracle:
             assert np.array_equal(m.y, want[2]) and m.dropped_columns == want[3]
 
 
+def assert_rebuilds(obj):
+    """obj equals itself rebuilt through its class's checked constructor,
+    field by field: values, dtypes and shapes of arrays, type and value of
+    everything else. The rebuild also shows that obj passes every check."""
+    names = [f.name for f in dataclasses.fields(obj)]
+    rebuilt = type(obj)(*(getattr(obj, name) for name in names))
+    for name in names:
+        got, want = getattr(obj, name), getattr(rebuilt, name)
+        assert type(got) is type(want), name
+        if isinstance(got, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+class TestCheckedSubsets:
+    """Subsets of a checked table or matrix skip the constructor's checks;
+    they must be what the checked constructor would have built."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("subsets") / "jurors.csv"
+
+    @given(juror_files(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_subsets_equal_their_checked_rebuild(self, path, drawn, data):
+        raw, catalog = drawn
+        path.write_bytes(raw)
+        table, exc = _outcome(lambda: load_csv(path, catalog))
+        assume(exc is None)
+        eligible = filter_eligible(table)
+        assert_rebuilds(eligible)
+        m, exc = _outcome(lambda: build_matrix(eligible))
+        assume(exc is None)
+        # at least 10 rows, with repeats, so that about half the draws split
+        rows = m.take_rows(data.draw(st.lists(st.integers(0, m.n - 1), min_size=10, max_size=24)))
+        drop = data.draw(st.sets(st.integers(0, m.p - 1))) if m.p else set()
+        subsets = [rows, m.take_rows([]), m.without_columns(drop), m.without_race(),
+                   rows.without_race()]
+        if rows.n >= 10 and min(rows.y.sum(), rows.n - rows.y.sum()) >= 2:
+            subsets += split(rows, 0.7, seed=data.draw(st.integers(0, 3)))
+        for subset in subsets:
+            assert_rebuilds(subset)
+
+
 class TestJurorTable:
+    def test_first_duplicate_in_row_order_is_named(self):
+        # (t1, j3) is the first row to repeat an earlier one; (t1, j2) and
+        # (t2, j1) repeat later, though their first rows come before j3's
+        trials = ["t2", "t1", "t1", "t1", "t1", "t1", "t2"]
+        jurors = ["j1", "j1", "j2", "j3", "j3", "j2", "j1"]
+        flags = [False] * 7
+        with pytest.raises(ParseError, match=r"^duplicate juror_id 'j3' within trial 't1'$"):
+            JurorTable(("accused",), trials, jurors, flags, flags, flags, [[0]] * 7)
+
     def test_columns_are_coerced(self):
         table = JurorTable(("accused",), ["t1", "t1"], ["j1", "j2"], [1, 0], [0, 1], [1, 1], [1, -1])
         assert table.is_black.dtype == bool and table.is_black.tolist() == [True, False]
