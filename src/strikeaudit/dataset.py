@@ -185,6 +185,8 @@ class FeatureMatrix:
         return self.x.shape[1]
 
     def take_rows(self, idx) -> "FeatureMatrix":
+        if np.asarray(idx).dtype == bool:
+            raise ValueError("take_rows takes row indices, not a boolean mask")
         idx = np.asarray(idx, dtype=int)
         return _subset(self, x=self.x[idx], y=self.y[idx])
 
@@ -278,6 +280,8 @@ def stratified_folds(y, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndar
     if folds < 2:
         raise ValueError("folds must be >= 2")
     y = np.asarray(y, dtype=int)
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("labels must be 0 or 1")
     rng = np.random.default_rng(seed)
     assignment = np.empty(y.size, dtype=int)
     for label in (0, 1):

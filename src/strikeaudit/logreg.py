@@ -140,12 +140,16 @@ def predict_proba(model: LogisticModel, m: FeatureMatrix) -> np.ndarray:
     return _sigmoid(model.intercept + xs @ model.beta)
 
 
-def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> LogisticModel:
+def fit(
+    m: FeatureMatrix, support, settings: FitSettings = FitSettings(), *, start=None
+) -> LogisticModel:
     """Damped Newton on the ridge-penalized likelihood over ``support``.
 
-    Every fit starts from the zero vector, so the result depends only on the
-    rows of ``m``, the support and ``settings``. Separable data with
-    ridge = 0 comes back with converged=False rather than diverging.
+    A fit starts from the zero vector, so the result depends only on the
+    rows of ``m``, the support and ``settings``, unless ``start`` (the
+    intercept, then beta in support order) moves the start and the last
+    bits with it. Separable data with ridge = 0 comes back with
+    converged=False rather than diverging.
 
     From PATTERN_MIN_ROWS rows up, when the 2^(k+1) possible (pattern,
     struck) cells number at most n and the occupied ones at most n/2, Newton
@@ -168,6 +172,8 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
     xs = _design(m, support)
     y = m.y.astype(float)
     n, k = xs.shape
+    if start is not None and not (np.shape(start) == (k + 1,) and np.isfinite(start).all()):
+        raise ValueError(f"start must hold {k + 1} finite numbers: the intercept, then beta")
     ridge = settings.resolve_ridge(n)
     ridge_eye = ridge * np.eye(k)  # once per fit: per Newton step it cost ~5% of a small fit
     w = None  # per-row fit: no weights enter the arithmetic
@@ -207,12 +213,16 @@ def fit(m: FeatureMatrix, support, settings: FitSettings = FitSettings()) -> Log
 
     # Every quantity below belongs to the accepted theta and is computed once.
     # At zeros eta = 0, z = exp(0) = 1 and each term is log1p(1) exactly.
-    theta = np.zeros(k + 1)
-    eta, z = np.zeros(y.size), np.ones(y.size)
-    terms = np.full(y.size, _LOG2)
-    if w is not None:
-        terms *= w
-    current = float(terms.sum())
+    if start is None:
+        theta = np.zeros(k + 1)
+        eta, z = np.zeros(y.size), np.ones(y.size)
+        terms = np.full(y.size, _LOG2)
+        if w is not None:
+            terms *= w
+        current = float(terms.sum())
+    else:
+        theta = np.array(start, dtype=float)
+        eta, z, current = evaluate(theta)
     p, g = probability_and_gradient(theta, eta, z)
     iterations = 0
     for iterations in range(1, settings.max_iterations + 1):

@@ -5,8 +5,9 @@ penalized likelihood of a fit on the union of all still-allowed features:
 restricting the support can only raise the optimal objective, so that fit
 lower-bounds every descendant, provided it converged. The search starts
 with no best support and dives depth-first to a size-k support. Every fit
-starts from zeros, so a support's fit, and with it the search, depends only
-on the rows, the allowed columns and k. A result is certified optimal only
+that can be reported starts from zeros, so it depends only on its rows and
+support; a fit wider than every searched size only bounds, and starts from
+its parent's relaxation. A result is certified optimal only
 when the search finished within its node budget, no node was dismissed on
 an unconverged fit, and the winner's fit converged. Also: the
 backward-stepwise baseline and the per-size importance profile.
@@ -67,31 +68,48 @@ class SubsetPath:
 
 
 class _FitCache:
-    """Memoized Newton fits from zeros on one row set. A fit is then a pure
-    function of the rows and the support, so the table, which race_ablation
-    shares between its two searches, cannot change a result. It is keyed by
-    the sorted support, which is the model's own support tuple, so a key
-    takes no memory of its own."""
+    """Memoized Newton fits on one row set, keyed by the sorted support, which
+    is the model's own support tuple, so a key takes no memory of its own. A
+    fit of at most ``widest`` columns (the widest searched size) starts from
+    zeros, so the table, which race_ablation shares between its two
+    searches, cannot change it. A wider fit only bounds: it starts from its
+    parent's relaxation, so its last bits depend on its first visitor."""
 
     def __init__(self, m: FeatureMatrix, settings: FitSettings, counts: SearchCounts,
-                 models: dict | None = None):
+                 widest: int, models: dict | None = None, exclude: frozenset = frozenset()):
         self.m = m
         self.settings = settings
         self.counts = counts
+        self.widest, self.exclude = widest, exclude
         self._models = {} if models is None else models
         q = m.x.mean(axis=0)
         self.sd = np.sqrt(q * (1.0 - q))  # per binary column over these rows, for branching
 
-    def fit(self, support) -> LogisticModel:
+    def fit(self, support, parent: LogisticModel | None = None) -> LogisticModel:
         key = tuple(sorted(support))
         model = self._models.get(key)
         if model is not None:
             self.counts.memo_hits += 1
         else:
-            model = self._models[key] = logreg.fit(self.m, key, self.settings)
+            start = None  # parent: the relaxation of support plus one column
+            if parent is not None and len(key) > self.widest:
+                start = [parent.intercept, *(b for j, b in zip(parent.support, parent.beta)
+                                             if j in support)]
+            model = self._models[key] = logreg.fit(self.m, key, self.settings, start=start)
             self.counts.fits += 1
             self.counts.unconverged += not model.diagnostics.converged
         return model
+
+    def beaten(self, union: set, best_obj: float) -> bool:
+        """Whether the table lacks union's fit but holds a converged fit of
+        union plus the excluded columns that reaches best_obj. Dropping
+        columns cannot lower the optimum, so that fit answers union: a memo hit."""
+        wider = (self.exclude and tuple(sorted(union)) not in self._models
+                 and self._models.get(tuple(sorted(union | self.exclude))))
+        hit = bool(wider and wider.diagnostics.converged
+                   and wider.diagnostics.final_nll >= best_obj - _PRUNE_EPS)
+        self.counts.memo_hits += hit
+        return hit
 
 
 def _branch_and_bound(
@@ -112,9 +130,9 @@ def _branch_and_bound(
 
     # Stack entries: (forced, allowed, bound, bound_model). An include-child
     # has its parent's union of forced and allowed features, so it inherits
-    # the parent's bound and relaxation fit; an exclude-child is bounded on
-    # pop. Include-children are popped first, so the search dives to a size-k
-    # support before it backtracks.
+    # the parent's bound and relaxation fit; an exclude-child carries that fit
+    # as a warm start and is bounded on pop. Include-children are popped first,
+    # so the search dives to a size-k support before it backtracks.
     stack: list[tuple[frozenset, tuple[int, ...], float | None, LogisticModel | None]] = [
         (frozenset(), allowed, None, None)
     ]
@@ -126,14 +144,17 @@ def _branch_and_bound(
             certified = False
             break
         nodes += 1
-        if len(forced) + len(allowed) <= k:
-            consider(forced | set(allowed))
+        union = forced | set(allowed)
+        if bound is None and cache.beaten(union, best_obj):  # the root or an exclude-child
+            continue
+        if len(union) <= k:
+            consider(union)
             continue
         if len(forced) == k:
             consider(forced)
             continue
         if bound is None:
-            bound_model = cache.fit(forced | set(allowed))
+            bound_model = cache.fit(union, bound_model)
             # Only a converged fit attains the minimum over the union; an
             # unconverged one bounds nothing and never prunes.
             diag = bound_model.diagnostics
@@ -147,7 +168,7 @@ def _branch_and_bound(
         coef = dict(zip(bound_model.support, scaled))
         u = max(allowed, key=lambda j: (coef.get(j, 0.0), -j))
         rest = tuple(j for j in allowed if j != u)
-        stack.append((forced, rest, None, None))
+        stack.append((forced, rest, None, bound_model))
         stack.append((forced | {u}, rest, bound, bound_model))
     model = cache.fit(best_support)
     return SubsetResult(
@@ -175,7 +196,8 @@ def best_subset(
     """
     if k < 0 or k > m.p:
         raise ValueError(f"k must be in [0, {m.p}], got {k}")
-    return _branch_and_bound(_FitCache(m, settings, SearchCounts()), tuple(range(m.p)), k, budget)
+    cache = _FitCache(m, settings, SearchCounts(), k)
+    return _branch_and_bound(cache, tuple(range(m.p)), k, budget)
 
 
 def subset_path(
@@ -202,8 +224,11 @@ def subset_path(
     No search uses a column in ``exclude``; column indices keep their
     meaning, so tie-breaks are those of the matrix without them. ``_fits``
     lends the fit tables of each row set (keyed by the row indices' bytes,
-    None for all rows) to a call on the same training matrix and
-    FitSettings, as in race_ablation; it changes the search counts only.
+    None for all rows) to a call on the same training matrix, FitSettings
+    and k_max, as in race_ablation; with ``exclude``, its fits of a node's
+    union plus those columns can dismiss the node. It changes the search
+    counts, and, as a warm bound fit's last bits depend on its first
+    visitor, a result only at a near-tie within the fit tolerance.
     """
     if not all(0 <= j < train.p for j in exclude):
         raise ValueError(f"exclude must hold column indices in [0, {train.p})")
@@ -221,7 +246,7 @@ def subset_path(
     def search(rows) -> list[SubsetResult]:
         # The cache, and with it a fold's row matrix, dies when this returns.
         key, m = (None, train) if rows is None else (rows.tobytes(), train.take_rows(rows))
-        cache = _FitCache(m, settings, counts, fits.setdefault(key, {}))
+        cache = _FitCache(m, settings, counts, ks[-1], fits.setdefault(key, {}), exclude)
         return [_branch_and_bound(cache, allowed, k, budget) for k in ks]
 
     auc_rows = []
@@ -276,8 +301,8 @@ def race_ablation(
     excluded: same folds and seed, sizes up to k_max or the non-race columns.
 
     The race columns keep their indices in the second search, so the two
-    share one set of fit tables and the second solves only the problems the
-    first did not.
+    share one set of fit tables: the second skips the problems the first
+    solved, and the nodes that its fits with the race columns show cannot win.
     """
     if not train.race_columns:
         raise ValueError("ablation requires race columns")

@@ -381,19 +381,24 @@ class TestRunAudit:
 
     def test_each_problem_solved_once(self, tmp_path, monkeypatch):
         # A problem is the rows' targets and the support's named columns; it
-        # is solved from zeros, once.
+        # is solved once, from zeros unless it is wider than any searched size.
         solved = []
+        warm_widths = []
         real_fit = logreg.fit
 
-        def recording_fit(m, support, settings=logreg.FitSettings()):
+        def recording_fit(m, support, settings=logreg.FitSettings(), *, start=None):
             columns = frozenset((m.columns[j], m.x[:, j].tobytes()) for j in support)
             solved.append((m.y.tobytes(), columns))
-            return real_fit(m, support, settings)
+            if start is not None:
+                warm_widths.append(len(support))
+            return real_fit(m, support, settings, start=start)
 
         monkeypatch.setattr(logreg, "fit", recording_fit)
-        run_audit(disparity_audit_config(tmp_path, seed=12, n=900))
+        cfg = disparity_audit_config(tmp_path, seed=12, n=900)
+        run_audit(cfg)
         assert solved
         assert len(set(solved)) == len(solved)
+        assert all(width > cfg.k_max for width in warm_widths)
 
     def test_config_json_round_trip(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=10, n=900)

@@ -333,6 +333,16 @@ class TestCheckedSubsets:
             assert_rebuilds(subset)
 
 
+class TestTakeRows:
+    def test_boolean_mask_rejected(self):
+        # Read as indices, [False, True, True] would be rows 0, 1, 1.
+        m = FeatureMatrix(x=np.eye(3), columns=("a", "b", "c"), y=np.array([0, 1, 1]))
+        with pytest.raises(ValueError, match="row indices"):
+            m.take_rows([False, True, True])
+        with pytest.raises(ValueError, match="row indices"):
+            m.take_rows(np.array([False, True, True]))
+
+
 class TestJurorTable:
     def test_first_duplicate_in_row_order_is_named(self):
         # (t1, j3) is the first row to repeat an earlier one; (t1, j2) and
@@ -530,6 +540,12 @@ class TestStratifiedFolds:
     def test_single_class_fold_rejected(self):
         y = np.array([0] * 20 + [1] * 2)
         with pytest.raises(StratificationError):
+            stratified_folds(y, 5, seed=0)
+
+    def test_labels_other_than_zero_and_one_rejected(self):
+        # Rows with another label would keep an unassigned fold.
+        y = np.array([0, 1] * 10 + [2] * 5)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
             stratified_folds(y, 5, seed=0)
 
 

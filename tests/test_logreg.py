@@ -296,6 +296,50 @@ class TestPatternFit:
         assert np.isfinite(theta_of(model)).all()
 
 
+def warm_fit_cases():
+    """(matrix, parent support, dropped column, ridge) on the row path and on
+    the cell path."""
+    for case, ridge in enumerate((None, 0.5)):
+        yield random_binary_matrix(60 + case, 300, 6, signal={0: 1.0, 2: -0.8}), \
+            tuple(range(6)), 2, ridge
+        yield pattern_matrix(400 + case), tuple(range(10)), 1, ridge
+
+
+class TestWarmStart:
+    def test_parent_minus_one_column_reaches_the_fit_from_zeros(self):
+        # At the optimum theta* the objective is locally quadratic with
+        # Hessian H, smallest eigenvalue mu. A gradient g then puts theta
+        # within |g| / mu of theta* and its objective within |g|^2 / (2 mu)
+        # of the minimum; both fits stop with max |g| <= tolerance.
+        for m, parent_support, dropped, ridge in warm_fit_cases():
+            settings = FitSettings(ridge=ridge)
+            parent = fit(m, parent_support, settings)
+            support = tuple(j for j in parent_support if j != dropped)
+            start = [parent.intercept] + [b for j, b in zip(parent_support, parent.beta)
+                                          if j != dropped]
+            warm = fit(m, support, settings, start=start)
+            cold = fit(m, support, settings)
+            assert warm.diagnostics.converged and cold.diagnostics.converged
+            design = np.column_stack([np.ones(m.n), m.x[:, support]])
+            p = predict_proba(cold, m)
+            h = design.T @ (design * (p * (1 - p))[:, None])
+            h[1:, 1:] += cold.ridge * np.eye(len(support))
+            mu = np.linalg.eigvalsh(h)[0]
+            g = math.sqrt(len(support) + 1) * settings.tolerance  # |g| for each fit
+            value = cold.diagnostics.final_nll
+            assert abs(warm.diagnostics.final_nll - value) <= g * g / mu + 1e-14 * abs(value)
+            assert np.linalg.norm(theta_of(warm) - theta_of(cold)) <= 2 * g / mu
+
+    @pytest.mark.parametrize("start", [
+        [0.0, 0.0, 0.0], [0.0] * 5, [[0.0] * 4], [0.0, math.nan, 0.0, 0.0],
+        [0.0, 0.0, math.inf, 0.0],
+    ])
+    def test_bad_start_rejected(self, start):
+        m = random_binary_matrix(63, 50, 4)
+        with pytest.raises(ValueError, match="start"):
+            fit(m, (0, 1, 3), start=start)
+
+
 def copied_columns_matrix(seed):
     """A matrix of 8,192 to 9,000 rows whose 12 columns are copies of 3 base
     columns: 2^13 possible cells, more than n/2, but at most 16 occupied."""

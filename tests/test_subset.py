@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from strikeaudit import logreg
+from strikeaudit import logreg, subset
 from strikeaudit.dataset import FeatureMatrix, split
 from strikeaudit.errors import StratificationError
 from strikeaudit.logreg import FitDiagnostics, FitSettings
@@ -262,6 +262,42 @@ def search_free(path) -> dict:
     return {k: v for k, v in path_to_json(path).items() if k != "search"}
 
 
+def record_fits(monkeypatch):
+    """Record (support, start) of every logreg.fit call."""
+    calls = []
+    real_fit = logreg.fit
+
+    def fit(m, support, settings=FitSettings(), *, start=None):
+        calls.append((tuple(support), start))
+        return real_fit(m, support, settings, start=start)
+
+    monkeypatch.setattr(logreg, "fit", fit)
+    return calls
+
+
+def assert_fits_from_zeros(path, train, settings=FitSettings()):
+    for model in path.models:
+        ref = logreg.fit(train, model.support, settings)
+        assert np.float64(model.intercept).tobytes() == np.float64(ref.intercept).tobytes()
+        assert model.beta.tobytes() == ref.beta.tobytes()
+        assert model.diagnostics == ref.diagnostics
+
+
+class TestWarmBoundFits:
+    def test_only_fits_wider_than_every_searched_size_start_warm(self, monkeypatch):
+        # k_max = 3 < p - 1 = 7: exclude-children of width 4..7 are bounds only.
+        m = planted_path_matrix(8)
+        train, test = split(m, 0.7, 0)
+        calls = record_fits(monkeypatch)
+        path = subset_path(train, test, k_max=3, folds=3, seed=1)
+        widths = [len(support) for support, start in calls if start is not None]
+        assert widths and min(widths) > 3
+        assert all(len(start) == len(support) + 1 for support, start in calls
+                   if start is not None)
+        monkeypatch.undo()
+        assert_fits_from_zeros(path, train)
+
+
 class TestRaceAblation:
     @pytest.mark.parametrize("seed", range(36))
     def test_paths_match_lone_full_path_and_fresh_path_without_race(self, seed):
@@ -277,6 +313,46 @@ class TestRaceAblation:
         assert ablated.search.fits <= fresh.search.fits
         # The supports are compared by name: the two runs index columns differently.
         assert search_free(ablated) == search_free(fresh)
+
+    def test_superset_prune_saves_fits_and_changes_no_result(self, monkeypatch):
+        # On this instance the full search's fits of a node's union plus the
+        # race columns dismiss ablated nodes that the ablated search would
+        # otherwise fit. Each dismissal is a memo hit, so the work counted
+        # stays that of a fresh search.
+        train, test, k_max, budget = race_path_instance(3)
+        full, ablated = race_ablation(train, test, k_max, 3, 3, budget=budget)
+        fresh = subset_path(train.without_race(), test.without_race(), k_max, 3, 3,
+                            budget=budget)
+        assert search_free(ablated) == search_free(fresh)
+        assert (ablated.search.fits + ablated.search.memo_hits
+                == fresh.search.fits + fresh.search.memo_hits)
+        assert ablated.search.fits < fresh.search.fits
+        monkeypatch.setattr(subset._FitCache, "beaten", lambda self, union, best_obj: False)
+        _, unpruned = race_ablation(train, test, k_max, 3, 3, budget=budget)
+        assert ablated.search.fits < unpruned.search.fits
+        assert search_free(unpruned) == search_free(ablated)
+
+    def test_wider_shape_with_warm_fits_and_superset_prunes(self, monkeypatch):
+        # p = 9 with k_max = 3: bound fits of 4..8 columns start warm in both
+        # searches, and the full search's fits dismiss ablated nodes.
+        m = random_binary_matrix(5, 400, 9, signal={0: 1.0, 3: 1.2, 6: -0.9})
+        m = FeatureMatrix(x=m.x, columns=m.columns, y=m.y, race_columns=frozenset({0}))
+        train, test = split(m, 0.7, 5)
+        calls = record_fits(monkeypatch)
+        full, ablated = race_ablation(train, test, 3, 3, 5)
+        monkeypatch.undo()
+        widths = [len(support) for support, start in calls if start is not None]
+        assert widths and min(widths) > 3
+        fresh = subset_path(train.without_race(), test.without_race(), 3, 3, 5)
+        assert search_free(full) == search_free(subset_path(train, test, 3, 3, 5))
+        assert search_free(ablated) == search_free(fresh)
+        assert (ablated.search.fits + ablated.search.memo_hits
+                == fresh.search.fits + fresh.search.memo_hits)
+        monkeypatch.setattr(subset._FitCache, "beaten", lambda self, union, best_obj: False)
+        _, unpruned = race_ablation(train, test, 3, 3, 5)
+        assert ablated.search.fits < unpruned.search.fits
+        assert_fits_from_zeros(full, train)
+        assert_fits_from_zeros(ablated, train)
 
     def test_without_race_columns_the_ablation_raises(self):
         train, test, k_max, _ = race_path_instance(2)
