@@ -4,6 +4,7 @@ segmentation, and per-leaf disparity testing, assembled into one report."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import numbers
 from contextlib import contextmanager
@@ -197,8 +198,10 @@ def run_audit(cfg: AuditConfig) -> dict:
     the stage label.
     """
     with _stage("load"):
-        digest = hashlib.sha256(Path(cfg.input_path).read_bytes()).hexdigest()
-        table = load_csv(cfg.input_path, cfg.catalog)
+        data = Path(cfg.input_path).read_bytes()  # read once: the input may be a pipe
+        digest = hashlib.sha256(data).hexdigest()
+        table = load_csv(io.BytesIO(data), cfg.catalog)
+        del data  # not held through the audit
     with _stage("filter"):
         eligible = filter_eligible(table)
     with _stage("matrix"):

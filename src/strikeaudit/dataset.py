@@ -6,13 +6,16 @@ All operations are pure given (input, seed).
 
 from __future__ import annotations
 
+import codecs
 import copy
 import csv
+import io
 import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -81,16 +84,108 @@ class JurorTable:
 
 
 def load_csv(path, catalog) -> JurorTable:
-    """Read juror records; answer cells use "1"/"0"/"" for yes/no/missing.
+    """Read juror records from a path or a binary file object; answer cells
+    use "1"/"0"/"" for yes/no/missing.
 
-    A UTF-8 byte-order mark is skipped and blank lines are ignored. A
-    malformed file raises at its first fault in row order (a row whose field
-    count is not the header's, or a bad cell, catalog columns before the
-    flags), naming the file line.
+    The input is read once, so a pipe will do. A UTF-8 byte-order mark is
+    skipped and blank lines are ignored. A malformed file raises at its first
+    fault in row order (a row whose field count is not the header's, a bad
+    cell, catalog columns before the flags, or a field csv.reader rejects),
+    naming the file line.
+
+    A well-formed file without quotes is decoded with array operations
+    (_decode_plain). Every other file, and every fault, goes through
+    csv.reader (_decode_csv).
     """
+    data = path.read() if hasattr(path, "read") else Path(path).read_bytes()
     catalog = tuple(catalog)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    table = _decode_plain(data, catalog)
+    return _decode_csv(data, catalog) if table is None else table
+
+
+def _decode_plain(data: bytes, catalog: tuple[str, ...]) -> JurorTable | None:
+    r"""The table of a file that csv.reader would read to the same table,
+    decoded from its bytes with no Python object per cell or row; None for
+    any other file. Such a file is valid UTF-8 with no quote and no NUL. Its
+    line ends are all \n or all \r\n, every line has the header's field
+    count (so none is blank), no line is longer than csv.field_size_limit()
+    bytes (so no field is), and every cell read is in its alphabet."""
+    if b'"' in data or b"\0" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            return None
+    lfs, crs = data.count(b"\n"), data.count(b"\r")
+    if crs and (crs != lfs or data.count(b"\r\n") != crs):
+        return None  # a lone \r, or line ends of both kinds
+    cr = int(crs > 0)  # bytes between a line's last field and its \n
+    skip = 3 if data.startswith(codecs.BOM_UTF8) else 0
+    first = data.find(b"\n")
+    if not 0 <= first < len(data) - 1:
+        return None  # no line after the header
+    header = data[skip : first - cr].decode().split(",")
+    if any(header.count(c) != 1 for c in (*REQUIRED_COLUMNS, *catalog)):
+        return None
+    buf = np.frombuffer(data, np.uint8)[skip:]
+    # Every field ends at a stop: its "," or its line's \n. Row i of grid
+    # holds line i's stops, if every line has the header's field count.
+    stops = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    lines = lfs
+    if not data.endswith(b"\n"):  # the last line ends at the end of the data
+        stops = np.append(stops, buf.size + cr)
+        lines += 1
+    if stops.size != lines * len(header):
+        return None
+    grid = stops.reshape(lines, len(header))
+    # The last stop of each line is a \n, and there are no others.
+    if not (buf[grid[:lfs, -1]] == ord("\n")).all():
+        return None
+    if np.diff(grid[:, -1], prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+
+    def field(name):
+        """Each record's (start, length) of the named column's cell."""
+        j = header.index(name)
+        start = (grid[1:, j - 1] if j else grid[:-1, -1]) + 1
+        return start, grid[1:, j] - cr * (j == len(header) - 1) - start
+
+    def texts(name):
+        r"""The named column's cells: one gather of their bytes, each
+        followed by a \n, then one decode."""
+        start, length = field(name)
+        size = length + 1
+        end = np.cumsum(size)
+        # The file's last field may end at the end of the data: clip, then
+        # overwrite with the \n.
+        joined = buf.take(np.arange(end[-1]) + np.repeat(start - end + size, size), mode="clip")
+        joined[end - 1] = ord("\n")
+        return joined[:-1].tobytes().decode().split("\n")
+
+    answers = np.empty((lines - 1, len(catalog)), np.int8)
+    flags = []
+    for k, name in enumerate((*catalog, *FLAG_COLUMNS)):
+        start, length = field(name)
+        byte = buf.take(start, mode="clip")  # an empty last field may start at the end
+        one = byte == ord("1")
+        valid = (length == 1) & (one | (byte == ord("0")))
+        if k < len(catalog):
+            valid |= length == 0
+        if not valid.all():
+            return None
+        if k < len(catalog):
+            answers[:, k] = one
+            answers[length == 0, k] = -1
+        else:
+            flags.append(one)
+    return JurorTable(catalog, texts("trial_id"), texts("juror_id"), *flags, answers)
+
+
+def _decode_csv(data: bytes, catalog: tuple[str, ...]) -> JurorTable:
+    """Any file, read with csv.reader; raises at the file's first fault."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    try:
         header = next(reader, [])
         for col in (*REQUIRED_COLUMNS, *catalog):
             if col not in header:
@@ -102,6 +197,8 @@ def load_csv(path, catalog) -> JurorTable:
             if row:
                 rows.append(row)
                 lines.append(reader.line_num)  # the record's last line
+    except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     ragged = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
     n = int(ragged[0]) if ragged.size else len(rows)  # rows before the first ragged one
     names = (*catalog, *FLAG_COLUMNS)

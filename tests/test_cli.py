@@ -1,4 +1,10 @@
+import csv
+import hashlib
+import io
 import json
+import os
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -62,6 +68,33 @@ def io_flags(workdir, outname):
     out = workdir["root"] / outname
     return ["--input", str(workdir["data"]), "--catalog", str(workdir["catalog"]),
             "--out", str(out)], out
+
+
+@contextmanager
+def pipe_holding(data: bytes):
+    """A /dev/fd path to the read end of a pipe that a thread fills with data;
+    like /dev/stdin under a shell pipe, it can be read once."""
+    read, write = os.pipe()
+
+    def fill():
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+
+    filler = threading.Thread(target=fill)
+    filler.start()
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+        filler.join()
+
+
+def rewritten(path, quoting) -> bytes:
+    """The CSV file's bytes, written again by csv.writer with the given quoting."""
+    text = io.StringIO()
+    with open(path, newline="") as fh:
+        csv.writer(text, quoting=quoting).writerows(csv.reader(fh))
+    return text.getvalue().encode()
 
 
 class TestSynth:
@@ -202,6 +235,29 @@ class TestAudit:
         assert main(["audit", *flags_b, *argv_tail]) == 0
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
+    def test_reads_a_pipe(self, workdir):
+        # run_audit hashes and decodes one read of its input, on the array
+        # decoder's path (quote-free) and on csv.reader's (quoted)
+        tail = ["--catalog", str(workdir["catalog"]), "--seed", "7", *FAST_FLAGS,
+                *FAST_TREE_FLAGS]
+        flags, want = io_flags(workdir, "audit_file")
+        assert main(["audit", *flags, "--seed", "7", *FAST_FLAGS, *FAST_TREE_FLAGS]) == 0
+        want_doc = json.loads((want / "report.json").read_text())
+        del want_doc["provenance"]["settings"]["input_path"]
+        del want_doc["provenance"]["dataset_digest"]
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            data = rewritten(workdir["data"], quoting)
+            assert (b'"' in data) == (quoting == csv.QUOTE_ALL)
+            out = workdir["root"] / f"audit_pipe_{quoting}"
+            with pipe_holding(data) as stdin:
+                assert main(["audit", "--input", stdin, "--out", str(out), *tail]) == 0
+            for name in ("ofs_curve.csv", "importance.csv", "tree.json", "disparity.csv"):
+                assert (out / name).read_bytes() == (want / name).read_bytes(), name
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["provenance"]["settings"].pop("input_path") == stdin
+            assert doc["provenance"].pop("dataset_digest") == hashlib.sha256(data).hexdigest()
+            assert doc == want_doc
+
     def test_config_file_fills_defaults(self, workdir):
         cfg_file = workdir["root"] / "audit_cfg.json"
         cfg_file.write_text(json.dumps({"k_max": 2, "folds": 3, "min_leaf": 8,
@@ -323,6 +379,25 @@ class TestExitCodes:
             *FAST_FLAGS,
         ]) == 2
         assert f"column {header[-1]!r} appears more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, stage", [("tree", ""), ("audit", "[load] ")])
+    def test_field_over_the_limit_is_data_error(self, workdir, capsys, command, stage):
+        # csv.reader's own error, not a traceback: the message names the line
+        limit = csv.field_size_limit()
+        with open(workdir["data"], newline="") as fh:
+            header, *records = csv.reader(fh)
+        records[2][header.index("juror_id")] = "j" * (limit + 1)
+        data = workdir["root"] / "long_field.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *records])
+        out = workdir["root"] / f"long_field_{command}"
+        assert main([
+            command, "--input", str(data), "--catalog", str(workdir["catalog"]),
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"strikeaudit: {stage}line 4: field larger than field limit ({limit})\n"
+        )
 
     def test_catalog_naming_a_column_twice_is_data_error(self, workdir, capsys):
         catalog = workdir["root"] / "duplicate_catalog.json"

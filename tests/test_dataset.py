@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from strikeaudit.dataset import (
     stratified_folds,
     synth_generate,
     write_csv,
+    _decode_csv,
+    _decode_plain,
 )
 from strikeaudit.errors import (
     DegenerateDataError,
@@ -210,31 +213,128 @@ class TestCsv:
         with pytest.raises(ParseError, match=r"^line 2, column 'eligible': .* got ''$"):
             load_csv(path, ("accused",))
 
+    def test_quote_free_file_loads_without_csv_reader(self, tmp_path, monkeypatch):
+        table = small_table()
+        path = tmp_path / "jurors.csv"
+        write_csv(table, path)
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        assert table_records(load_csv(path, CATALOG)) == table_records(table)
+
+    def test_binary_file_object_is_read_once(self, tmp_path):
+        table = small_table()
+        path = tmp_path / "jurors.csv"
+        write_csv(table, path)
+        quoted = io.StringIO()
+        csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(path.read_text())))
+        for data in (path.read_bytes(), quoted.getvalue().encode()):
+            source = io.BytesIO(data)
+            assert table_records(load_csv(source, CATALOG)) == table_records(table)
+            assert source.read() == b""
+
+    def test_field_over_the_limit_is_parse_error_naming_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "in.csv"
+        head = "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+        path.write_text(head + "t1,j1,0,1,1,1\n" + f"t1,{'j' * limit},0,1,1,0\n")
+        assert len(load_csv(path, ("accused",))) == 2
+        path.write_text(head + "t1,j1,0,1,1,1\n" + f"t1,{'j' * (limit + 1)},0,1,1,0\n")
+        with pytest.raises(ParseError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
+            load_csv(path, ("accused",))
+
+    def test_line_over_the_field_limit_loads(self, tmp_path):
+        # the array decoder declines a line longer than the field limit;
+        # csv.reader reads it, as no field is over the limit
+        limit = csv.field_size_limit(len("struck_by_state"))
+        try:
+            path = tmp_path / "in.csv"
+            path.write_text("trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+                            "t1,j1,0,1,1,1\n")
+            assert _decode_plain(path.read_bytes(), ("accused",)) is None
+            assert load_csv(path, ("accused",)).juror_id.tolist() == ["j1"]
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_nul_byte(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+                         b"t1,j1\0,0,1,1,1\n")
+        if sys.version_info < (3, 11):  # csv.reader rejects NUL before 3.11
+            with pytest.raises(ParseError, match=r"^line 2: line contains NUL$"):
+                load_csv(path, ("accused",))
+        else:
+            assert load_csv(path, ("accused",)).juror_id.tolist() == ["j1\0"]
+
+    @pytest.mark.parametrize("data", [
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\r\nt1,j1,0,1,1,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,1,1\r",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j\r1,0,1,1,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\n\nt1,j1,0,1,1,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,1,1\n\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,\"j1\",0,1,1,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,1,10\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,1,/\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j\xff,0,1,1,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible\nt1,j1,0,1,1\n",
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\n",
+    ])
+    def test_array_decoder_declines_what_csv_reader_must_read(self, data):
+        assert _decode_plain(data, ("accused",)) is None
+
+    @pytest.mark.parametrize("data", [
+        b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\r\nt1,j1,0,1,1,\r\n",
+        b"\xef\xbb\xbftrial_id,juror_id,is_black,struck_by_state,eligible,accused\nt1,j1,0,1,1,1",
+        b"accused,trial_id,juror_id,is_black,struck_by_state,eligible\n,t1,,0,1,1",
+        b"accused,is_black,struck_by_state,eligible,trial_id,juror_id\r\n1,0,1,1,t1,j1\r\n"
+        b"0,0,1,1,t1,",
+        "trial_id,juror_id,is_black,struck_by_state,eligible,accused\nt\u00e9,j 1,0,1,1,0\n"
+        .encode(),
+    ])
+    def test_array_decoder_reads_what_csv_reader_reads(self, data):
+        table = _decode_plain(data, ("accused",))
+        assert table is not None
+        assert_same_fields(table, _decode_csv(data, ("accused",)))
+
+
+# csv.writer cannot write a NUL before Python 3.11, nor csv.reader read one
+NUL_IDS = ["j1\0"] if sys.version_info >= (3, 11) else []
+
 
 @st.composite
 def juror_files(draw):
     """(file bytes, catalog): a header in random order with an unused column,
-    ids that repeat across trials (some quoted, one holding a newline, one
-    that is another id plus a NUL), flags, answers 1/0/"", and now and then
-    a blank line, a malformed cell, a short or long row, a byte-order mark or
-    a catalog name that collides with a flag."""
+    ids that repeat across trials, flags, answers 1/0/"", line ends \\r\\n or
+    \\n (now and then a lone \\r), and now and then a blank line, a malformed
+    cell, a short or long row, a last record without a line end, a byte-order
+    mark or a catalog name that collides with a flag. Half the files hold
+    cells that only csv.reader reads: quoted ones (an id holding a comma, an
+    id or note holding a newline) and, where csv can write and read it, an id
+    holding a NUL. The other half are for the array decoder."""
     catalog = draw(st.permutations(["a1", "a2", "a3"]))[: draw(st.integers(1, 3))]
     if draw(st.integers(0, 9)) == 0:
         catalog.append("eligible")
     header = draw(st.permutations(sorted({*REQUIRED_COLUMNS, *catalog, "note"})))
+    csv_only = draw(st.booleans())
     cells = {
         "trial_id": st.sampled_from(["t1", "t2"]),
-        "juror_id": st.sampled_from([f"j{i}" for i in range(12)] + ["j,12", "j\n13", "j1\0"]),
-        "note": st.text(alphabet="ab \n", max_size=3),
+        "juror_id": st.sampled_from([f"j{i}" for i in range(12)]
+                                    + ["j,12", "j\n13", *NUL_IDS] * csv_only),
+        "note": st.text(alphabet="ab \n" if csv_only else "ab ", max_size=3),
         **{c: st.sampled_from(["0", "1"]) for c in REQUIRED_COLUMNS[2:]},
         **{c: st.sampled_from(["1", "0", ""]) for c in ("a1", "a2", "a3")},
     }
+    eol = draw(st.sampled_from(["\r\n"] * 3 + ["\n"] * 3 + ["\r"]))
     out = io.StringIO()
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator=eol)
     writer.writerow(header)
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.integers(0, 9)) == 0:
-            out.write("\r\n")
+            out.write(eol)
         row = [draw(cells[c]) for c in header]
         fault = draw(st.integers(0, 29))
         if fault < 2:  # a cell outside its alphabet ("" is one for a flag)
@@ -244,8 +344,11 @@ def juror_files(draw):
         elif fault == 3:
             row += [draw(cells["note"]) for _ in range(draw(st.integers(1, 2)))]
         writer.writerow(row)
+    text = out.getvalue()
+    if draw(st.integers(0, 4)) == 0:
+        text = text.removesuffix(eol)
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return (bom + out.getvalue()).encode("utf-8"), tuple(catalog)
+    return (bom + text).encode("utf-8"), tuple(catalog)
 
 
 def _outcome(fn):
@@ -267,6 +370,13 @@ class TestLoaderOracle:
         path.write_bytes(data)
         records, want_exc = _outcome(lambda: reference_load_csv(path, catalog))
         table, exc = _outcome(lambda: load_csv(path, catalog))
+        # the array decoder reads a file only to csv.reader's table
+        plain, plain_exc = _outcome(lambda: _decode_plain(data, catalog))
+        if plain is not None or plain_exc is not None:
+            read, read_exc = _outcome(lambda: _decode_csv(data, catalog))
+            assert (type(plain_exc), str(plain_exc)) == (type(read_exc), str(read_exc))
+            if plain is not None:
+                assert_same_fields(plain, read)
         if want_exc is not None:
             # the same fault: same class, same message naming line and column
             assert (type(exc), str(exc)) == (type(want_exc), str(want_exc))
@@ -288,13 +398,17 @@ class TestLoaderOracle:
 
 
 def assert_rebuilds(obj):
-    """obj equals itself rebuilt through its class's checked constructor,
-    field by field: values, dtypes and shapes of arrays, type and value of
-    everything else. The rebuild also shows that obj passes every check."""
+    """obj equals itself rebuilt through its class's checked constructor; the
+    rebuild also shows that obj passes every check."""
     names = [f.name for f in dataclasses.fields(obj)]
-    rebuilt = type(obj)(*(getattr(obj, name) for name in names))
-    for name in names:
-        got, want = getattr(obj, name), getattr(rebuilt, name)
+    assert_same_fields(obj, type(obj)(*(getattr(obj, name) for name in names)))
+
+
+def assert_same_fields(obj, other):
+    """Two dataclass objects agree field by field: values, dtypes and shapes
+    of arrays, type and value of everything else."""
+    for name in (f.name for f in dataclasses.fields(obj)):
+        got, want = getattr(obj, name), getattr(other, name)
         assert type(got) is type(want), name
         if isinstance(got, np.ndarray):
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
