@@ -204,6 +204,7 @@ def run_audit(cfg: AuditConfig) -> dict:
         del data  # not held through the audit
     with _stage("filter"):
         eligible = filter_eligible(table)
+        del table  # only the eligible rows are used from here on
     with _stage("matrix"):
         m = build_matrix(eligible, cfg.missing_policy)
     with _stage("split"):
@@ -243,7 +244,7 @@ def findings_csv(findings: list[dict]) -> str:
     )
     lines = [header]
     for f in findings:
-        path = " & ".join(f["path"])
+        path = " & ".join(f["path"]).replace('"', '""')
         cells = [
             str(f["leaf"]),
             f'"{path}"',

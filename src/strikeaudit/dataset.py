@@ -13,8 +13,6 @@ import io
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +29,6 @@ REQUIRED_COLUMNS = ("trial_id", "juror_id", "is_black", "struck_by_state", "elig
 FLAG_COLUMNS = REQUIRED_COLUMNS[2:]
 RACE_FEATURE_NAMES = frozenset({"is_black", "same_race"})
 MISSING_POLICIES = ("as_no", "drop_row")
-# Cell text -> answer code; load_csv reads any other text as _BAD.
-_CODES = {"1": 1, "0": 0, "": -1}
-_BAD = 2
 # Answer code -> cell text; -1 (missing) indexes the last entry.
 _TEXT = np.array(["0", "1", ""])
 
@@ -89,13 +84,13 @@ def load_csv(path, catalog) -> JurorTable:
 
     The input is read once, so a pipe will do. A UTF-8 byte-order mark is
     skipped and blank lines are ignored. A malformed file raises at its first
-    fault in row order (a row whose field count is not the header's, a bad
-    cell, catalog columns before the flags, or a field csv.reader rejects),
-    naming the file line.
+    fault in file order, naming the file line. A record is checked for the
+    header's field count, then for bad cells, catalog columns before the
+    flags. A field csv.reader rejects counts at its own line.
 
     A well-formed file without quotes is decoded with array operations
-    (_decode_plain). Every other file, and every fault, goes through
-    csv.reader (_decode_csv).
+    (_decode_plain). Every other file, and every fault, is read one
+    csv.reader record at a time (_decode_csv).
     """
     data = path.read() if hasattr(path, "read") else Path(path).read_bytes()
     catalog = tuple(catalog)
@@ -183,7 +178,8 @@ def _decode_plain(data: bytes, catalog: tuple[str, ...]) -> JurorTable | None:
 
 
 def _decode_csv(data: bytes, catalog: tuple[str, ...]) -> JurorTable:
-    """Any file, read with csv.reader; raises at the file's first fault."""
+    """Any file, read one csv.reader record at a time; raises at the file's
+    first fault."""
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
         header = next(reader, [])
@@ -192,31 +188,29 @@ def _decode_csv(data: bytes, catalog: tuple[str, ...]) -> JurorTable:
                 raise SchemaError(f"missing required column {col!r}")
             if header.count(col) > 1:
                 raise SchemaError(f"column {col!r} appears more than once in the header")
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)  # the record's last line
+        names = (*catalog, *FLAG_COLUMNS)
+        alphabets = [("1", "0", "")] * len(catalog) + [("1", "0")] * len(FLAG_COLUMNS)
+        index = [header.index(c) for c in (*names, "trial_id", "juror_id")]
+        records = []
+        for row in filter(None, reader):  # a blank line is an empty record
+            if len(row) != len(header):
+                raise ParseError(
+                    f"line {reader.line_num} has {len(row)} fields, header has {len(header)}"
+                )
+            record = [row[j] for j in index]
+            for name, cell, alphabet in zip(names, record, alphabets):
+                if cell not in alphabet:
+                    raise ParseError(
+                        f"line {reader.line_num}, column {name!r}: expected 0 or 1, got {cell!r}"
+                    )
+            records.append(record)
     except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    ragged = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
-    n = int(ragged[0]) if ragged.size else len(rows)  # rows before the first ragged one
-    names = (*catalog, *FLAG_COLUMNS)
-    index = [header.index(c) for c in names]
-    cells = chain.from_iterable(map(itemgetter(*index), rows[:n]))
-    codes = np.fromiter(map(_CODES.get, cells, repeat(_BAD)), np.int8, n * len(index))
-    codes = codes.reshape(n, len(index))
-    bad = codes == _BAD
-    bad[:, len(catalog):] |= codes[:, len(catalog):] < 0  # a flag cannot be missing
-    if bad.any():
-        i, j = divmod(int(bad.argmax()), len(index))
-        raise ParseError(
-            f"line {lines[i]}, column {names[j]!r}: expected 0 or 1, got {rows[i][index[j]]!r}"
-        )
-    if n < len(rows):
-        raise ParseError(f"line {lines[n]} has {len(rows[n])} fields, header has {len(header)}")
-    ids = [list(map(itemgetter(header.index(c)), rows)) for c in ("trial_id", "juror_id")]
-    return JurorTable(catalog, *ids, *codes[:, len(catalog):].T, codes[:, : len(catalog)])
+    cells = np.array(records, object).reshape(len(records), len(index))
+    ones = cells[:, : len(names)] == "1"
+    answers = ones[:, : len(catalog)].astype(np.int8) - (cells[:, : len(catalog)] == "")
+    trial_id, juror_id = cells[:, len(names):].T.copy()  # a view would hold every cell
+    return JurorTable(catalog, trial_id, juror_id, *ones[:, len(catalog):].T, answers)
 
 
 def write_csv(table: JurorTable, path) -> None:
@@ -343,8 +337,10 @@ def build_matrix(table: JurorTable, missing_policy: str = "as_no") -> FeatureMat
     return FeatureMatrix(x=x, columns=columns, y=y, race_columns=race, dropped_columns=dropped)
 
 
-def _round_nearest(value: float) -> int:
-    return int(math.floor(value + 0.5))
+def _stratified_draw(y: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Each class's row indices in a seeded random order, class 0 then 1."""
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(np.flatnonzero(y == label)) for label in (0, 1)]
 
 
 def split(m: FeatureMatrix, train_fraction: float, seed: int) -> tuple[FeatureMatrix, FeatureMatrix]:
@@ -353,18 +349,14 @@ def split(m: FeatureMatrix, train_fraction: float, seed: int) -> tuple[FeatureMa
         raise ValueError("train_fraction must be in (0, 1)")
     if m.n < 10:
         raise ValueError(f"need at least 10 rows to split, got {m.n}")
-    rng = np.random.default_rng(seed)
     train_parts: list[np.ndarray] = []
     test_parts: list[np.ndarray] = []
-    for label in (0, 1):
-        stratum = np.flatnonzero(m.y == label)
-        if stratum.size < 2:
+    for label, perm in enumerate(_stratified_draw(m.y, seed)):
+        if perm.size < 2:
             raise StratificationError(
-                f"class {label} has {stratum.size} rows; need at least 2 to split"
+                f"class {label} has {perm.size} rows; need at least 2 to split"
             )
-        perm = rng.permutation(stratum)
-        n_train = _round_nearest(stratum.size * train_fraction)
-        n_train = min(max(n_train, 1), stratum.size - 1)
+        n_train = min(max(math.floor(perm.size * train_fraction + 0.5), 1), perm.size - 1)
         train_parts.append(perm[:n_train])
         test_parts.append(perm[n_train:])
     return (m.take_rows(np.sort(np.concatenate(train_parts))),
@@ -379,11 +371,8 @@ def stratified_folds(y, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndar
     y = np.asarray(y, dtype=int)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
-    rng = np.random.default_rng(seed)
     assignment = np.empty(y.size, dtype=int)
-    for label in (0, 1):
-        stratum = np.flatnonzero(y == label)
-        perm = rng.permutation(stratum)
+    for perm in _stratified_draw(y, seed):
         assignment[perm] = np.arange(perm.size) % folds
     out = []
     for f in range(folds):

@@ -15,6 +15,8 @@ backward-stepwise baseline and the per-size importance profile.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -381,7 +383,9 @@ def curve_csv(path_doc: dict) -> str:
 
 def importance_csv(profile_doc: dict) -> str:
     """An importance_profile document, one row per subset size."""
-    lines = ["k," + ",".join(profile_doc["columns"])]
-    for k, row in zip(profile_doc["ks"], profile_doc["values"]):
-        lines.append(f"{k}," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")  # quotes a column name that needs it
+    writer.writerow(["k", *profile_doc["columns"]])
+    rows = zip(profile_doc["ks"], profile_doc["values"])
+    writer.writerows([k, *map(float, values)] for k, values in rows)
+    return out.getvalue()

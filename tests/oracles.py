@@ -291,33 +291,36 @@ def reference_load_csv(path, catalog) -> list[dict]:
     catalog = tuple(catalog)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (*REQUIRED_COLUMNS, *catalog):
-            if col not in header:
-                raise SchemaError(f"missing required column {col!r}")
-            if header.count(col) > 1:
-                raise SchemaError(f"column {col!r} appears more than once in the header")
-        records = []
-        for row in reader:
-            # DictReader.line_num is stale after a skipped blank line; the
-            # wrapped reader's count is the record's last file line.
-            line = reader.reader.line_num
-            if None in row.values():  # DictReader pads a short row with None
-                fields = next(i for i, name in enumerate(header) if row[name] is None)
-                raise ParseError(f"line {line} has {fields} fields, header has {len(header)}")
-            if None in row:  # and files a long row's extra fields under the key None
-                fields = len(header) + len(row[None])
-                raise ParseError(f"line {line} has {fields} fields, header has {len(header)}")
-            answers = {}
-            for name in catalog:
-                cell = row[name]
-                answers[name] = None if cell == "" else _reference_bool(cell, line, name)
-            records.append({
-                "trial_id": row["trial_id"],
-                "juror_id": row["juror_id"],
-                **{c: _reference_bool(row[c], line, c) for c in REQUIRED_COLUMNS[2:]},
-                "answers": answers,
-            })
+        try:
+            header = reader.fieldnames or []
+            for col in (*REQUIRED_COLUMNS, *catalog):
+                if col not in header:
+                    raise SchemaError(f"missing required column {col!r}")
+                if header.count(col) > 1:
+                    raise SchemaError(f"column {col!r} appears more than once in the header")
+            records = []
+            for row in reader:
+                # DictReader.line_num is stale after a skipped blank line; the
+                # wrapped reader's count is the record's last file line.
+                line = reader.reader.line_num
+                if None in row.values():  # DictReader pads a short row with None
+                    fields = next(i for i, name in enumerate(header) if row[name] is None)
+                    raise ParseError(f"line {line} has {fields} fields, header has {len(header)}")
+                if None in row:  # and files a long row's extra fields under the key None
+                    fields = len(header) + len(row[None])
+                    raise ParseError(f"line {line} has {fields} fields, header has {len(header)}")
+                answers = {}
+                for name in catalog:
+                    cell = row[name]
+                    answers[name] = None if cell == "" else _reference_bool(cell, line, name)
+                records.append({
+                    "trial_id": row["trial_id"],
+                    "juror_id": row["juror_id"],
+                    **{c: _reference_bool(row[c], line, c) for c in REQUIRED_COLUMNS[2:]},
+                    "answers": answers,
+                })
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
+            raise ParseError(f"line {reader.reader.line_num}: {exc}") from None
     overlap = set(catalog) & set(REQUIRED_COLUMNS)
     if overlap:
         raise SchemaError(f"feature catalog collides with required columns: {sorted(overlap)}")

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -359,6 +360,26 @@ class TestRunAudit:
         assert tree_from_json(doc) == tree_from_json(report["tree"])
         # The returned document is the report.json written from it.
         assert json.loads((out / "report.json").read_text()) == report
+
+    def test_derived_csvs_read_back_names_that_need_quoting(self, tmp_path):
+        cfg = disparity_audit_config(tmp_path, seed=2, n=600)
+        names = dict(zip(TREE_FEATURES, ("acc,used", 'kn"ow', "fam\naccused", "death\r\nhes")))
+        with open(cfg.input_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        with open(cfg.input_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([[names.get(c, c) for c in header], *rows])
+        doc = run_audit(replace(cfg, catalog=tuple(names.get(c, c) for c in cfg.catalog)))
+        paths = [" & ".join(f["path"]) for f in doc["findings"]]
+        assert 'kn"ow = no' in " ".join(paths)
+        write_outputs(doc, tmp_path / "out")
+        with open(tmp_path / "out" / "importance.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["k", *doc["importance"]["columns"]]
+        assert "acc,used" in header and {len(row) for row in rows} == {len(header)}
+        with open(tmp_path / "out" / "disparity.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [row[header.index("path")] for row in rows] == paths
+        assert {len(row) for row in rows} == {len(header)}
 
     def test_search_counts_in_report(self, tmp_path, monkeypatch):
         solved = []

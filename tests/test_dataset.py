@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -245,18 +246,39 @@ class TestCsv:
         with pytest.raises(ParseError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
             load_csv(path, ("accused",))
 
+    def test_bad_cell_before_a_field_over_the_limit_is_reported_first(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            "t1,j1,0,1,1,2\n"
+            "t1,j2,0,1,1,1\n"
+            f"t1,{'j' * (limit + 1)},0,1,1,0\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 2, column 'accused': expected 0 or 1, got '2'$"):
+            load_csv(path, ("accused",))
+
+    def test_field_over_the_limit_before_a_bad_cell_is_reported_first(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            f"t1,{'j' * (limit + 1)},0,1,1,0\n"
+            "t1,j2,0,1,1,1\n"
+            "t1,j1,0,1,1,2\n"
+        )
+        with pytest.raises(ParseError, match=rf"^line 2: field larger than field limit \({limit}\)$"):
+            load_csv(path, ("accused",))
+
     def test_line_over_the_field_limit_loads(self, tmp_path):
         # the array decoder declines a line longer than the field limit;
         # csv.reader reads it, as no field is over the limit
-        limit = csv.field_size_limit(len("struck_by_state"))
-        try:
+        with field_size_limit(len("struck_by_state")):
             path = tmp_path / "in.csv"
             path.write_text("trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
                             "t1,j1,0,1,1,1\n")
             assert _decode_plain(path.read_bytes(), ("accused",)) is None
             assert load_csv(path, ("accused",)).juror_id.tolist() == ["j1"]
-        finally:
-            csv.field_size_limit(limit)
 
     def test_nul_byte(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -305,16 +327,28 @@ class TestCsv:
 NUL_IDS = ["j1\0"] if sys.version_info >= (3, 11) else []
 
 
+@contextmanager
+def field_size_limit(limit):
+    """csv.field_size_limit set to limit inside the block, restored after."""
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 @st.composite
 def juror_files(draw):
-    """(file bytes, catalog): a header in random order with an unused column,
-    ids that repeat across trials, flags, answers 1/0/"", line ends \\r\\n or
-    \\n (now and then a lone \\r), and now and then a blank line, a malformed
-    cell, a short or long row, a last record without a line end, a byte-order
-    mark or a catalog name that collides with a flag. Half the files hold
-    cells that only csv.reader reads: quoted ones (an id holding a comma, an
-    id or note holding a newline) and, where csv can write and read it, an id
-    holding a NUL. The other half are for the array decoder."""
+    """(file bytes, catalog, csv field size limit): a header in random order
+    with an unused column, ids that repeat across trials, flags, answers
+    1/0/"", line ends \\r\\n or \\n (now and then a lone \\r), and now and then
+    a blank line, a malformed cell, a short or long row, a last record
+    without a line end, a byte-order mark or a catalog name that collides
+    with a flag. Now and then the limit is lowered to no less than the
+    longest header name, and an id may be one character over it. Half the
+    files hold cells that only csv.reader reads: quoted ones (an id holding a
+    comma, an id or note holding a newline) and, where csv can write and
+    read it, an id holding a NUL. The other half are for the array decoder."""
     catalog = draw(st.permutations(["a1", "a2", "a3"]))[: draw(st.integers(1, 3))]
     if draw(st.integers(0, 9)) == 0:
         catalog.append("eligible")
@@ -328,6 +362,9 @@ def juror_files(draw):
         **{c: st.sampled_from(["0", "1"]) for c in REQUIRED_COLUMNS[2:]},
         **{c: st.sampled_from(["1", "0", ""]) for c in ("a1", "a2", "a3")},
     }
+    limit = csv.field_size_limit()
+    if draw(st.integers(0, 4)) == 0:
+        limit = draw(st.integers(max(map(len, header)), 20))
     eol = draw(st.sampled_from(["\r\n"] * 3 + ["\n"] * 3 + ["\r"]))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=eol)
@@ -343,12 +380,14 @@ def juror_files(draw):
             row = row[: draw(st.integers(1, len(row) - 1))]
         elif fault == 3:
             row += [draw(cells["note"]) for _ in range(draw(st.integers(1, 2)))]
+        elif fault < 6 and limit < csv.field_size_limit():
+            row[header.index("juror_id")] = "j" * (limit + 1)
         writer.writerow(row)
     text = out.getvalue()
     if draw(st.integers(0, 4)) == 0:
         text = text.removesuffix(eol)
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return (bom + text).encode("utf-8"), tuple(catalog)
+    return (bom + text).encode("utf-8"), tuple(catalog), limit
 
 
 def _outcome(fn):
@@ -366,17 +405,18 @@ class TestLoaderOracle:
     @given(juror_files())
     @settings(max_examples=300, deadline=None)
     def test_columnar_loader_matches_reference(self, path, drawn):
-        data, catalog = drawn
+        data, catalog, limit = drawn
         path.write_bytes(data)
-        records, want_exc = _outcome(lambda: reference_load_csv(path, catalog))
-        table, exc = _outcome(lambda: load_csv(path, catalog))
-        # the array decoder reads a file only to csv.reader's table
-        plain, plain_exc = _outcome(lambda: _decode_plain(data, catalog))
-        if plain is not None or plain_exc is not None:
-            read, read_exc = _outcome(lambda: _decode_csv(data, catalog))
-            assert (type(plain_exc), str(plain_exc)) == (type(read_exc), str(read_exc))
-            if plain is not None:
-                assert_same_fields(plain, read)
+        with field_size_limit(limit):
+            records, want_exc = _outcome(lambda: reference_load_csv(path, catalog))
+            table, exc = _outcome(lambda: load_csv(path, catalog))
+            # the array decoder reads a file only to csv.reader's table
+            plain, plain_exc = _outcome(lambda: _decode_plain(data, catalog))
+            if plain is not None or plain_exc is not None:
+                read, read_exc = _outcome(lambda: _decode_csv(data, catalog))
+                assert (type(plain_exc), str(plain_exc)) == (type(read_exc), str(read_exc))
+                if plain is not None:
+                    assert_same_fields(plain, read)
         if want_exc is not None:
             # the same fault: same class, same message naming line and column
             assert (type(exc), str(exc)) == (type(want_exc), str(want_exc))
@@ -428,9 +468,10 @@ class TestCheckedSubsets:
     @given(juror_files(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_subsets_equal_their_checked_rebuild(self, path, drawn, data):
-        raw, catalog = drawn
+        raw, catalog, limit = drawn
         path.write_bytes(raw)
-        table, exc = _outcome(lambda: load_csv(path, catalog))
+        with field_size_limit(limit):
+            table, exc = _outcome(lambda: load_csv(path, catalog))
         assume(exc is None)
         eligible = filter_eligible(table)
         assert_rebuilds(eligible)
