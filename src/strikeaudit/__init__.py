@@ -31,7 +31,7 @@ from .errors import (
     UndefinedTestError,
 )
 from .logreg import FitSettings, LogisticModel, fit, gradient, nll, predict_proba, wald_pvalues
-from .stats import ContingencyTable, RocCurve, auc, fisher_exact, holm_adjust, roc_points
+from .stats import ContingencyTable, auc, fisher_exact, holm_adjust
 from .subset import (
     SubsetPath,
     SubsetResult,
@@ -40,6 +40,6 @@ from .subset import (
     importance_profile,
     subset_path,
 )
-from .tree import Tree, TreeSettings, describe_path, fit_tree, predict_leaf, tune_alpha
+from .tree import Tree, TreeSettings, describe_path, fit_tree, tune_alpha
 
 __version__ = "0.1.0"

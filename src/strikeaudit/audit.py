@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import logreg, subset, tree as tree_mod
+from . import subset, tree as tree_mod
 from .dataset import (
     MISSING_POLICIES,
     RACE_FEATURE_NAMES,
@@ -221,10 +221,9 @@ def run_audit(cfg: AuditConfig) -> dict:
     with _stage("disparity"):
         findings = leaf_disparity(fitted, eligible, cfg.alpha_level)
     return {
-        "provenance": {"seed": cfg.seed, "settings": cfg.to_json(), "dataset_digest": digest},
+        "provenance": {"settings": cfg.to_json(), "dataset_digest": digest},
         "dropped_columns": list(m.dropped_columns),
         "subset_path": subset.path_to_json(path),
-        "chosen_model": logreg.model_to_json(path.chosen_model, path.columns),
         "importance": subset.importance_profile(path),
         "ablation": {
             "auc_full": path.test_auc,

@@ -228,7 +228,7 @@ def _cmd_report(args) -> int:
     doc = json.loads(Path(args.report).read_text())
     files = audit_mod.report_files(doc)
     with reading_document("report document"):
-        model = doc["chosen_model"]
+        model = doc["subset_path"]["chosen_model"]
         lines = [
             f"model AUC (test): {doc['subset_path']['test_auc']:.4f}",
             f"ablated AUC:      {doc['ablation']['auc_ablated']:.4f}",

@@ -1,4 +1,4 @@
-"""Exact and rank-based statistics: 2x2 Fisher test, Holm adjustment, AUC/ROC.
+"""Exact and rank-based statistics: 2x2 Fisher test, Holm adjustment, AUC.
 
 Everything here is implemented directly (no statistics library) so the
 results can be checked against brute-force rational-arithmetic oracles.
@@ -7,7 +7,7 @@ results can be checked against brute-force rational-arithmetic oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,11 @@ def holm_adjust(p_values) -> np.ndarray:
     return adjusted
 
 
-def _check_binary_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def auc(scores, labels) -> float:
+    """Tie-aware AUC: P(score_pos > score_neg) + 0.5 * P(score_pos = score_neg).
+
+    Computed as the Mann-Whitney statistic via sorting and midranks.
+    """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
@@ -109,15 +113,6 @@ def _check_binary_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     y = y.astype(int)
     if y.sum() == 0 or y.sum() == y.size:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    return s, y
-
-
-def auc(scores, labels) -> float:
-    """Tie-aware AUC: P(score_pos > score_neg) + 0.5 * P(score_pos = score_neg).
-
-    Computed as the Mann-Whitney statistic via sorting and midranks.
-    """
-    s, y = _check_binary_labels(scores, labels)
     n = s.size
     order = np.argsort(s, kind="mergesort")
     ranks = np.empty(n)
@@ -130,36 +125,3 @@ def auc(scores, labels) -> float:
     n_neg = n - n_pos
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """ROC points from (0,0) to (1,1) plus their trapezoidal area."""
-
-    points: tuple[tuple[float, float], ...]
-    auc: float = field(default=0.0)
-
-
-def roc_points(scores, labels) -> RocCurve:
-    """ROC curve from a threshold sweep over the distinct scores.
-
-    The trapezoid area of the returned points equals ``auc`` on the same
-    inputs to within 1e-12.
-    """
-    s, y = _check_binary_labels(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    order = np.argsort(-s, kind="mergesort")
-    s_desc = s[order]
-    y_desc = y[order]
-    cum_tp = np.cumsum(y_desc)
-    cum_fp = np.cumsum(1 - y_desc)
-    # Emit one point per distinct score (after its full tie group).
-    last_in_group = np.flatnonzero(np.diff(s_desc)) .tolist() + [y.size - 1]
-    pts = [(0.0, 0.0)]
-    for i in last_in_group:
-        pts.append((float(cum_fp[i] / n_neg), float(cum_tp[i] / n_pos)))
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(points=tuple(pts), auc=float(area))

@@ -217,12 +217,6 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
     return Tree(nodes=tuple(nodes), root=0, columns=m.columns, depth=depth)
 
 
-def predict_leaf(tree: Tree, row) -> tuple[int, float]:
-    """Route one feature vector (aligned to tree.columns) to its leaf."""
-    idx = int(predict_leaves(tree, np.asarray(row)[None, :])[0])
-    return idx, tree.nodes[idx].p_strike
-
-
 def predict_leaves(tree: Tree, x: np.ndarray) -> np.ndarray:
     """Vectorized leaf assignment for an n x p matrix."""
     x = np.asarray(x)

@@ -7,6 +7,7 @@ and never calls the code path it verifies.
 
 import csv
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -68,6 +69,38 @@ def auc_pairwise_outer(scores, labels) -> float:
     neg = scores[labels == 0]
     wins = np.sum(pos[:, None] > neg[None, :]) + 0.5 * np.sum(pos[:, None] == neg[None, :])
     return float(wins) / (pos.size * neg.size)
+
+
+@dataclass(frozen=True)
+class RocCurve:
+    """ROC points from (0,0) to (1,1) plus their trapezoidal area."""
+
+    points: tuple[tuple[float, float], ...]
+    auc: float
+
+
+def roc_points(scores, labels) -> RocCurve:
+    """ROC curve from a threshold sweep over the distinct scores, with the
+    trapezoid area under it: an AUC by another route than pairwise counting.
+    Labels are 0/1 with both classes present."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    order = np.argsort(-s, kind="mergesort")
+    s_desc = s[order]
+    y_desc = y[order]
+    cum_tp = np.cumsum(y_desc)
+    cum_fp = np.cumsum(1 - y_desc)
+    # One point per distinct score, after its full tie group.
+    last_in_group = np.flatnonzero(np.diff(s_desc)).tolist() + [y.size - 1]
+    pts = [(0.0, 0.0)]
+    for i in last_in_group:
+        pts.append((float(cum_fp[i] / n_neg), float(cum_tp[i] / n_pos)))
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return RocCurve(points=tuple(pts), auc=float(area))
 
 
 def central_difference_gradient(f, x, h=1e-5) -> np.ndarray:

@@ -23,9 +23,9 @@ from strikeaudit.audit import (
 )
 from strikeaudit.dataset import FeatureMatrix, build_matrix, split, synth_generate, write_csv
 from strikeaudit.logreg import FitSettings
-from strikeaudit.stats import ContingencyTable, auc, fisher_exact, holm_adjust, roc_points
+from strikeaudit.stats import ContingencyTable, auc, fisher_exact, holm_adjust
 from strikeaudit.subset import backward_stepwise, best_subset, race_ablation, subset_path
-from strikeaudit.tree import TreeSettings, describe_path, fit_tree, predict_leaf
+from strikeaudit.tree import TreeSettings, describe_path, fit_tree, predict_leaves
 
 from conftest import random_binary_matrix
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     enumerate_best_subset,
     enumerate_trees_best_objective,
     holm_by_hand,
+    roc_points,
 )
 from test_audit import disparity_audit_config
 from test_dataset import paper_shaped_config
@@ -318,7 +319,7 @@ def test_criterion_09_disparity_power_and_calibration():
         tree = fit_tree(m.without_race(), TreeSettings())
         findings = leaf_disparity(tree, table, alpha_level=0.05)
         node4_row = [1.0 if c == "know_def" else 0.0 for c in tree.columns]
-        leaf_id, _ = predict_leaf(tree, node4_row)
+        leaf_id = predict_leaves(tree, np.array([node4_row]))[0]
         power += bool(next(f for f in findings if f["leaf"] == leaf_id)["significant"])
 
     null_clean = 0

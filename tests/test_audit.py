@@ -305,6 +305,14 @@ class TestRunAudit:
         assert 0.0 <= doc["ablation"]["auc_ablated"] <= test_auc <= 1.0
         assert doc["ablation"]["auc_full"] == test_auc
 
+    def test_one_owner_per_value(self, tmp_path):
+        # The chosen model is only under subset_path, the seed only under
+        # provenance.settings.
+        doc = run_audit(disparity_audit_config(tmp_path, seed=3, n=600))
+        assert sorted(doc) == ["ablation", "dropped_columns", "findings", "importance",
+                               "provenance", "subset_path", "tree"]
+        assert sorted(doc["provenance"]) == ["dataset_digest", "settings"]
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=4, n=900)
         a = json.dumps(run_audit(cfg), indent=2, sort_keys=True)

@@ -324,6 +324,27 @@ class TestAudit:
         assert findings == ["  " + line for line in disparity_lines]
 
 
+    def test_report_reads_reports_with_duplicate_keys(self, workdir, capsys):
+        # Reports written before the chosen model and the seed had one key
+        # each also hold them at the top level and in provenance.
+        flags, out = io_flags(workdir, "audit_one_owner")
+        assert main(["audit", *flags, "--seed", "7", *FAST_FLAGS, *FAST_TREE_FLAGS]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        old = {**doc, "chosen_model": doc["subset_path"]["chosen_model"],
+               "provenance": {**doc["provenance"], "seed": doc["provenance"]["settings"]["seed"]}}
+        old_path = workdir["root"] / "report_with_duplicates.json"
+        old_path.write_text(json.dumps(old))
+        files = ("ofs_curve.csv", "importance.csv", "tree.json", "disparity.csv")
+        rendered = []
+        for name, path in (("render_new", out / "report.json"), ("render_old", old_path)):
+            capsys.readouterr()
+            assert main(["report", "--report", str(path), "--out", str(workdir["root"] / name)]) == 0
+            rendered.append((capsys.readouterr().out,
+                             [(workdir["root"] / name / file).read_bytes() for file in files]))
+        assert "chosen model:" in rendered[0][0]
+        assert rendered[0] == rendered[1]
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

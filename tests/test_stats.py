@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strikeaudit.errors import UndefinedMetricError, UndefinedTestError
-from strikeaudit.stats import (
-    ContingencyTable,
-    auc,
-    fisher_exact,
-    holm_adjust,
-    roc_points,
-)
+from strikeaudit.stats import ContingencyTable, auc, fisher_exact, holm_adjust
 
 from conftest import fresh_python
-from oracles import auc_pairwise, fisher_two_sided_exact, holm_by_hand
+from oracles import auc_pairwise, fisher_two_sided_exact, holm_by_hand, roc_points
 
 
 class TestFisherExact:

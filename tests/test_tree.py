@@ -17,7 +17,6 @@ from strikeaudit.tree import (
     TreeSettings,
     describe_path,
     fit_tree,
-    predict_leaf,
     predict_labels,
     predict_leaves,
     tree_from_json,
@@ -211,22 +210,37 @@ class TestFitTree:
         assert a == b
 
 
+def route_one(tree, row):
+    """The leaf one row reaches, through predict_leaves, and its strike rate."""
+    idx = int(predict_leaves(tree, np.array([row], dtype=float))[0])
+    return idx, tree.nodes[idx].p_strike
+
+
+def walk(tree, row):
+    """The leaf one row reaches, by walking the nodes from the root."""
+    idx = tree.root
+    while isinstance(tree.nodes[idx], Split):
+        node = tree.nodes[idx]
+        idx = node.right if row[node.feature] else node.left
+    return idx
+
+
 class TestPredict:
     def test_single_leaf_tree_routes_everything(self):
         tree = Tree(nodes=(Leaf(n=50, n_struck=10),), root=0, columns=("a",), depth=0)
-        leaf_id, p = predict_leaf(tree, [1])
+        leaf_id, p = route_one(tree, [1])
         assert leaf_id == 0
         assert p == pytest.approx(0.2)
 
     def test_accused_row_hits_93_percent_leaf(self):
         tree = paper_tree()
-        leaf_id, p = predict_leaf(tree, [1, 0, 0, 0])
+        leaf_id, p = route_one(tree, [1, 0, 0, 0])
         assert p == pytest.approx(0.93)
         assert describe_path(tree, leaf_id) == ["accused = yes"]
 
     def test_all_no_row_hits_17_percent_leaf(self):
         tree = paper_tree()
-        leaf_id, p = predict_leaf(tree, [0, 0, 0, 0])
+        leaf_id, p = route_one(tree, [0, 0, 0, 0])
         assert p == pytest.approx(0.17)
 
     def test_vectorized_routing_matches_scalar(self):
@@ -235,7 +249,7 @@ class TestPredict:
         x = (rng.random((200, 4)) < 0.4).astype(float)
         routed = predict_leaves(tree, x)
         for i in range(200):
-            assert routed[i] == predict_leaf(tree, x[i])[0]
+            assert routed[i] == walk(tree, x[i])
 
 
 class TestDescribePath:
@@ -245,12 +259,12 @@ class TestDescribePath:
 
     def test_know_def_leaf_conditions(self):
         tree = paper_tree()
-        leaf_id, _ = predict_leaf(tree, [0, 1, 0, 0])
+        leaf_id, _ = route_one(tree, [0, 1, 0, 0])
         assert describe_path(tree, leaf_id) == ["accused = no", "know_def = yes"]
 
     def test_death_hesitation_leaf_has_four_conditions(self):
         tree = paper_tree()
-        leaf_id, p = predict_leaf(tree, [0, 0, 0, 1])
+        leaf_id, p = route_one(tree, [0, 0, 0, 1])
         assert p == pytest.approx(1.0)
         conditions = describe_path(tree, leaf_id)
         assert len(conditions) == 4
