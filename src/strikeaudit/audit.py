@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import numbers
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -24,7 +23,9 @@ from .dataset import (
     load_csv,
     split,
 )
-from .errors import StageError, StrikeAuditError, UndefinedTestError, finite_real, reading_document
+from .errors import (
+    StageError, StrikeAuditError, UndefinedTestError, finite_real, reading_document, whole,
+)
 from .logreg import FitSettings
 from .stats import ContingencyTable, fisher_exact, holm_adjust
 from .subset import DEFAULT_NODE_BUDGET
@@ -100,11 +101,9 @@ class AuditConfig:
     folds: int = 5
     missing_policy: str = "as_no"
     ridge: float | None = None  # None -> 1/n
-    fit_tolerance: float = 1e-8
-    max_iterations: int = 100
     node_budget: int = DEFAULT_NODE_BUDGET
-    max_depth: int = 4
-    min_leaf: int = 10
+    max_depth: int = TreeSettings.max_depth
+    min_leaf: int = TreeSettings.min_leaf
     alpha_grid: tuple[float, ...] = (0.001, 0.01, 0.1)
     alpha_level: float = 0.05
 
@@ -121,40 +120,32 @@ class AuditConfig:
              "a number in (0, 1)"),
             ("missing_policy", self.missing_policy in MISSING_POLICIES,
              f"one of {', '.join(MISSING_POLICIES)}"),
-            ("ridge", self.ridge is None or finite_real(self.ridge) and self.ridge >= 0,
-             "null or a finite number >= 0"),
-            ("fit_tolerance", finite_real(self.fit_tolerance) and self.fit_tolerance > 0,
-             "a finite number > 0"),
             ("alpha_grid", listed(self.alpha_grid, lambda a: finite_real(a) and a >= 0)
              and len(self.alpha_grid) > 0, "a non-empty list of finite numbers >= 0"),
             ("alpha_level", finite_real(self.alpha_level) and 0 < self.alpha_level < 1,
              "a number in (0, 1)"),
         ]
-        for name, low in (("seed", 0), ("k_max", 1), ("folds", 2), ("max_iterations", 1),
-                          ("node_budget", 1), ("max_depth", 1), ("min_leaf", 1)):
-            v = getattr(self, name)
-            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
-            rules.append((name, ok, f"an integer >= {low}"))
+        for name, low in (("seed", 0), ("k_max", 1), ("folds", 2), ("node_budget", 1)):
+            rules.append((name, whole(getattr(self, name), low), f"an integer >= {low}"))
         for name, ok, want in rules:
             if not ok:
                 raise StrikeAuditError(
                     f"audit config {name} must be {want}, got {getattr(self, name)!r}"
                 )
+        # ridge, max_depth and min_leaf are checked by the settings they feed.
+        try:
+            self.fit_settings()
+            self.tree_settings()
+        except ValueError as exc:
+            raise StrikeAuditError(f"audit config {exc}") from None
         self.catalog = tuple(self.catalog)
         self.alpha_grid = tuple(self.alpha_grid)
 
     def fit_settings(self) -> FitSettings:
-        return FitSettings(
-            ridge=self.ridge,
-            tolerance=self.fit_tolerance,
-            max_iterations=self.max_iterations,
-        )
+        return FitSettings(ridge=self.ridge)
 
     def tree_settings(self) -> TreeSettings:
-        return TreeSettings(
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-        )
+        return TreeSettings(max_depth=self.max_depth, min_leaf=self.min_leaf)
 
     def to_json(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -65,11 +65,16 @@ def _add_io(sub):
     sub.add_argument("--out", default="out", help="output directory (default out/)")
 
 
-def _add_common(sub):
+def _add_matrix(sub):
+    """The flags of _matrix: the input and how its answers are encoded."""
     _add_io(sub)
-    _setting(sub, "--seed", "random seed", type=int)
     _setting(sub, "--missing-policy", "how to encode missing voir dire answers",
              choices=dataset.MISSING_POLICIES)
+
+
+def _add_common(sub):
+    _add_matrix(sub)
+    _setting(sub, "--seed", "random seed", type=int)
 
 
 def _add_ofs_flags(sub):
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     ofs.set_defaults(func=_cmd_ofs)
 
     stepwise = commands.add_parser("stepwise", help="backward stepwise baseline")
-    _add_common(stepwise)
+    _add_matrix(stepwise)
     stepwise.add_argument("--thresholds", type=_floats, default=(0.1, 0.05),
                           help="p-value thresholds per pass (default 0.1,0.05)")
     stepwise.set_defaults(func=_cmd_stepwise)

@@ -10,6 +10,11 @@ def finite_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def whole(v, low: int) -> bool:
+    """An integer >= low and not a bool: what every count setting must be."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+
+
 class StrikeAuditError(Exception):
     """Base class for all data and contract errors raised by this package."""
 

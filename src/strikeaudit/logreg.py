@@ -12,14 +12,13 @@ PATTERN_MIN_ROWS rows a Newton step costs numpy call overhead, not rows.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityError, finite_real
+from .errors import CollinearityError, finite_real, whole
 from .dataset import FeatureMatrix
 
 DEFAULT_TOLERANCE = 1e-8
@@ -47,12 +46,11 @@ class FitSettings:
 
     def __post_init__(self):
         if self.ridge is not None and not (finite_real(self.ridge) and self.ridge >= 0):
-            raise ValueError(f"ridge must be a finite number >= 0, got {self.ridge!r}")
+            raise ValueError(f"ridge must be None or a finite number >= 0, got {self.ridge!r}")
         if not (finite_real(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
-        v = self.max_iterations
-        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {v!r}")
+        if not whole(self.max_iterations, 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
     def resolve_ridge(self, n: int) -> float:
         return 1.0 / n if self.ridge is None else self.ridge

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import logreg, stats
 from .dataset import FeatureMatrix, stratified_folds
+from .errors import finite_real
 from .logreg import FitSettings, LogisticModel
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -324,8 +325,9 @@ def backward_stepwise(m: FeatureMatrix, thresholds=(0.1, 0.05)) -> LogisticModel
     Unpenalized fits throughout, as Wald inference assumes.
     """
     thresholds = tuple(thresholds)
-    if not thresholds:
-        raise ValueError("thresholds must be non-empty")
+    if not thresholds or not all(finite_real(t) and 0 <= t <= 1 for t in thresholds):
+        raise ValueError(f"thresholds must be a non-empty list of numbers in [0, 1], "
+                         f"got {thresholds!r}")
     settings = FitSettings(ridge=0.0)
     support = tuple(range(m.p))
     for threshold in thresholds:

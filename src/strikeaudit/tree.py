@@ -18,14 +18,13 @@ therefore lends one table of that level to all of a fold's fits.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .dataset import FeatureMatrix, RACE_FEATURE_NAMES, stratified_folds
 from .errors import (
-    ContractViolationError, DegenerateDataError, SchemaError, finite_real, reading_document,
+    ContractViolationError, DegenerateDataError, SchemaError, finite_real, reading_document, whole,
 )
 
 
@@ -37,9 +36,8 @@ class TreeSettings:
 
     def __post_init__(self):
         for name in ("max_depth", "min_leaf"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            if not whole(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not (finite_real(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
 
@@ -244,24 +242,27 @@ def predict_labels(tree: Tree, x: np.ndarray) -> np.ndarray:
     return labels[predict_leaves(tree, x)]
 
 
+def walk(tree: Tree):
+    """The nodes in pre-order (left before right) as (index, node,
+    conditions), conditions being the tests from the root down to the node,
+    e.g. ["accused = no", "know_def = yes"]."""
+    todo = [(tree.root, [])]
+    while todo:
+        idx, conditions = todo.pop()
+        node = tree.nodes[idx]
+        yield idx, node, conditions
+        if isinstance(node, Split):
+            name = tree.columns[node.feature]
+            todo += [(node.right, [*conditions, f"{name} = yes"]),
+                     (node.left, [*conditions, f"{name} = no"])]
+
+
 def describe_path(tree: Tree, leaf_id: int) -> list[str]:
     """Root-to-leaf conditions, e.g. ["accused = no", "know_def = yes"]."""
-    if not (0 <= leaf_id < len(tree.nodes)) or not isinstance(tree.nodes[leaf_id], Leaf):
-        raise ValueError(f"no leaf with id {leaf_id}")
-    parent: dict[int, tuple[int, bool]] = {}
-    for i, node in enumerate(tree.nodes):
-        if isinstance(node, Split):
-            parent[node.left] = (i, False)
-            parent[node.right] = (i, True)
-    conditions = []
-    idx = leaf_id
-    while idx in parent:
-        up, went_right = parent[idx]
-        feature = tree.nodes[up].feature
-        conditions.append(f"{tree.columns[feature]} = {'yes' if went_right else 'no'}")
-        idx = up
-    conditions.reverse()
-    return conditions
+    for idx, node, conditions in walk(tree):
+        if idx == leaf_id and isinstance(node, Leaf):
+            return conditions
+    raise ValueError(f"no leaf with id {leaf_id}")
 
 
 def tune_alpha(
@@ -358,22 +359,15 @@ def tree_from_json(obj: dict) -> Tree:
 
 def tree_to_text(tree: Tree) -> str:
     lines: list[str] = []
-
-    def rec(idx: int, indent: str) -> None:
-        node = tree.nodes[idx]
+    for idx, node, conditions in walk(tree):
+        indent = "  " * len(conditions)
+        if conditions:
+            lines.append(f"{indent[2:]}{conditions[-1]}:")
         if isinstance(node, Leaf):
             lines.append(
                 f"{indent}leaf[{idx}]: n={node.n} struck={node.n_struck} "
                 f"p_strike={node.p_strike:.3f}"
             )
-            return
-        name = tree.columns[node.feature]
-        lines.append(f"{indent}{name} = no:")
-        rec(node.left, indent + "  ")
-        lines.append(f"{indent}{name} = yes:")
-        rec(node.right, indent + "  ")
-
-    rec(tree.root, "")
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -307,11 +307,14 @@ class TestRunAudit:
 
     def test_one_owner_per_value(self, tmp_path):
         # The chosen model is only under subset_path, the seed only under
-        # provenance.settings.
+        # provenance.settings, which holds AuditConfig's fields and no more.
         doc = run_audit(disparity_audit_config(tmp_path, seed=3, n=600))
         assert sorted(doc) == ["ablation", "dropped_columns", "findings", "importance",
                                "provenance", "subset_path", "tree"]
         assert sorted(doc["provenance"]) == ["dataset_digest", "settings"]
+        recorded = doc["provenance"]["settings"]
+        assert sorted(recorded) == sorted(f.name for f in fields(AuditConfig))
+        assert len(recorded) == 13
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=4, n=900)
@@ -440,17 +443,28 @@ class TestRunAudit:
             ("k_max", "3"), ("k_max", 0), ("k_max", True), ("seed", -1), ("seed", 1.5),
             ("folds", 1), ("train_fraction", 1.0), ("train_fraction", "0.7"),
             ("missing_policy", "zero"), ("ridge", -0.1), ("ridge", "1"), ("ridge", math.inf),
-            ("fit_tolerance", 0), ("fit_tolerance", math.inf), ("max_iterations", 0),
-            ("node_budget", 0), ("max_depth", 0), ("min_leaf", 0), ("alpha_grid", []),
+            ("ridge", True), ("node_budget", 0), ("max_depth", 0), ("max_depth", 2.5),
+            ("max_depth", "4"), ("min_leaf", 0), ("min_leaf", True), ("alpha_grid", []),
             ("alpha_grid", [math.inf]),
             ("alpha_grid", [0.01, -1]), ("alpha_grid", "0.01"), ("alpha_level", 0),
             ("catalog", "accused"), ("catalog", [1, 2]), ("input_path", 7),
         ],
     )
     def test_config_bad_value_rejected(self, key, value):
+        # ridge, max_depth and min_leaf are checked by FitSettings and
+        # TreeSettings; the error still names the field.
         doc = AuditConfig(input_path="x.csv", catalog=("a",)).to_json()
         doc[key] = value
-        with pytest.raises(StrikeAuditError, match=key):
+        with pytest.raises(StrikeAuditError, match=rf"^audit config {key} must be "):
+            AuditConfig.from_json(doc)
+
+    @pytest.mark.parametrize("key, value", [("fit_tolerance", 1e-8), ("max_iterations", 100)])
+    def test_config_removed_fit_key_is_unknown(self, key, value):
+        # A looser tolerance or fewer iterations could only void or falsify
+        # a certificate, so a config may no longer set either.
+        doc = AuditConfig(input_path="x.csv", catalog=("a",)).to_json()
+        doc[key] = value
+        with pytest.raises(StrikeAuditError, match=rf"unknown audit config key\(s\): '{key}'"):
             AuditConfig.from_json(doc)
 
     def test_config_missing_required_key_rejected(self):

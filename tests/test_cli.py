@@ -160,6 +160,17 @@ class TestStepwise:
         doc = json.loads((out / "stepwise.json").read_text())
         assert "support" in doc and "beta" in doc
 
+    def test_seed_is_usage_error(self, workdir, capsys):
+        # stepwise fits every eligible row and draws nothing at random.
+        flags, _ = io_flags(workdir, "stepwise_seed")
+        assert main(["stepwise", *flags, "--seed", "1"]) == 1
+
+    def test_nan_threshold_is_data_error(self, workdir, capsys):
+        flags, out = io_flags(workdir, "stepwise_bad_thresholds")
+        assert main(["stepwise", *flags, "--thresholds", "nan"]) == 2
+        assert "thresholds" in capsys.readouterr().err
+        assert not (out / "stepwise.json").exists()
+
 
 class TestTreeAndDisparity:
     def test_tree_then_disparity(self, workdir):

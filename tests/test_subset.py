@@ -412,9 +412,11 @@ class TestBackwardStepwise:
         assert removed >= 4
 
     def test_empty_thresholds_rejected(self):
+        # NaN or a threshold below 0 can only empty the model; one above 1 drops nothing.
         m = random_binary_matrix(21, 100, 2)
-        with pytest.raises(ValueError):
-            backward_stepwise(m, thresholds=())
+        for thresholds in [(), (math.nan,), (0.05, -1), (1.5,)]:
+            with pytest.raises(ValueError, match="thresholds"):
+                backward_stepwise(m, thresholds=thresholds)
 
     def test_all_noise_can_empty_the_support(self):
         m = random_binary_matrix(22, 2000, 3)
