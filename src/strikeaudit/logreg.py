@@ -18,11 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityError, finite_real, whole
+from .errors import CollinearityError, finite_real
 from .dataset import FeatureMatrix
 
-DEFAULT_TOLERANCE = 1e-8
-DEFAULT_MAX_ITERATIONS = 100
+# The Newton fit's stopping rule, the same for every caller: branch-and-bound
+# certifies with the fits' objectives, so a looser tolerance would let it
+# certify a suboptimal support, and a lower cap would void certificates.
+# fit reads both once per call.
+TOLERANCE = 1e-8  # on max |gradient|
+MAX_ITERATIONS = 100
 # Below ~500 rows a Newton step costs ~75-100 us whatever the row count (numpy
 # call overhead; one BLAS thread, 2-core machine): cells pay from 1,024 rows.
 PATTERN_MIN_ROWS = 1024
@@ -33,7 +37,7 @@ _LOG2 = math.log1p(1.0)  # the loss of one row at eta = 0
 
 @dataclass(frozen=True)
 class FitSettings:
-    """Knobs for the Newton fit.
+    """The Newton fit's one setting, its ridge.
 
     ridge of None means 1/n, resolved against the training matrix at fit
     time; it vanishes asymptotically but keeps coefficients finite under
@@ -41,16 +45,10 @@ class FitSettings:
     """
 
     ridge: float | None = None
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
         if self.ridge is not None and not (finite_real(self.ridge) and self.ridge >= 0):
             raise ValueError(f"ridge must be None or a finite number >= 0, got {self.ridge!r}")
-        if not (finite_real(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
-        if not whole(self.max_iterations, 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
     def resolve_ridge(self, n: int) -> float:
         return 1.0 / n if self.ridge is None else self.ridge
@@ -184,7 +182,7 @@ def fit(
             xs = ((cells[:, None] >> bits) & 1).astype(float)
             y = (cells & 1).astype(float)
     half_ridge = 0.5 * ridge
-    tolerance = settings.tolerance
+    tolerance, max_iterations = TOLERANCE, MAX_ITERATIONS
     scratch = np.empty(y.size)
 
     def evaluate(t):
@@ -223,7 +221,7 @@ def fit(
         eta, z, current = evaluate(theta)
     p, g = probability_and_gradient(theta, eta, z)
     iterations = 0
-    for iterations in range(1, settings.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         gmax = abs(g).max()
         if gmax <= tolerance:
             iterations -= 1
@@ -257,7 +255,7 @@ def fit(
         if not improved:
             break
     else:
-        iterations = settings.max_iterations
+        iterations = max_iterations
 
     gmax = float(abs(g).max())
     # With ridge = 0 and every row (or cell) classified with positive margin,

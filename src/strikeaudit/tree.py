@@ -61,8 +61,9 @@ class Split:
 
 @dataclass(frozen=True)
 class Tree:
+    """nodes in pre-order, left before right: nodes[0] is the root."""
+
     nodes: tuple
-    root: int
     columns: tuple[str, ...]
     depth: int
 
@@ -212,7 +213,7 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
         if _splits is None:
             splits.clear()
         del best, build
-    return Tree(nodes=tuple(nodes), root=0, columns=m.columns, depth=depth)
+    return Tree(nodes=tuple(nodes), columns=m.columns, depth=depth)
 
 
 def predict_leaves(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -221,7 +222,7 @@ def predict_leaves(tree: Tree, x: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape[0], dtype=int)
     # A work list, not a recursive closure: the closure's reference cycle
     # would keep x and out alive until a cyclic garbage collection.
-    todo = [(tree.root, np.ones(x.shape[0], dtype=bool))]
+    todo = [(0, np.ones(x.shape[0], dtype=bool))]
     while todo:
         idx, mask = todo.pop()
         node = tree.nodes[idx]
@@ -246,7 +247,7 @@ def walk(tree: Tree):
     """The nodes in pre-order (left before right) as (index, node,
     conditions), conditions being the tests from the root down to the node,
     e.g. ["accused = no", "know_def = yes"]."""
-    todo = [(tree.root, [])]
+    todo = [(0, [])]
     while todo:
         idx, conditions = todo.pop()
         node = tree.nodes[idx]
@@ -319,7 +320,7 @@ def tree_to_json(tree: Tree) -> dict:
             "right": rec(node.right),
         }
 
-    return {"columns": list(tree.columns), "root": rec(tree.root)}
+    return {"columns": list(tree.columns), "root": rec(0)}
 
 
 def tree_from_json(obj: dict) -> Tree:
@@ -354,7 +355,7 @@ def tree_from_json(obj: dict) -> Tree:
         columns = tuple(obj["columns"])
         index = {name: j for j, name in enumerate(columns)}
         rec(obj["root"], 0)
-    return Tree(nodes=tuple(nodes), root=0, columns=columns, depth=max_depth)
+    return Tree(nodes=tuple(nodes), columns=columns, depth=max_depth)
 
 
 def tree_to_text(tree: Tree) -> str:
@@ -385,4 +386,4 @@ def tree_to_graph(tree: Tree) -> dict:
             nodes.append({"id": i, "kind": "split", "feature": tree.columns[node.feature]})
             edges.append({"from": i, "to": node.left, "value": 0})
             edges.append({"from": i, "to": node.right, "value": 1})
-    return {"nodes": nodes, "edges": edges, "root": tree.root}
+    return {"nodes": nodes, "edges": edges, "root": 0}

@@ -144,19 +144,22 @@ def _nll_terms(eta, y):
     return float(np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta))
 
 
-def reference_newton_fit(m, support, settings):
+def reference_newton_fit(m, support, ridge, *, tolerance=1e-8, max_iterations=100):
     """The damped Newton fit written out step by step: a masked sigmoid, and
     the sigmoid and gradient recomputed wherever a step needs them (before
     the Hessian, in the line search and for the final diagnostics).
 
-    Returns (theta, final_nll, iterations, converged, max_abs_gradient);
-    logreg.fit must reproduce every one bit for bit.
+    ridge of None means 1/n. The stopping rule's defaults are written here,
+    not read from logreg, so that the oracle does not depend on the code it
+    checks; a test that caps logreg's fit passes the same cap. Returns
+    (theta, final_nll, iterations, converged, max_abs_gradient); logreg.fit
+    must reproduce every one bit for bit.
     """
     support = tuple(support)
     xs = m.x[:, support]
     y = m.y.astype(float)
     n, k = xs.shape
-    ridge = 1.0 / n if settings.ridge is None else settings.ridge
+    ridge = 1.0 / n if ridge is None else ridge
 
     theta = np.zeros(k + 1)
 
@@ -174,12 +177,12 @@ def reference_newton_fit(m, support, settings):
     current = objective(theta)
     iterations = 0
     gmax = math.inf
-    for iterations in range(1, settings.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         eta = theta[0] + xs @ theta[1:]
         p = _masked_sigmoid(eta)
         g = grad_at(theta)
         gmax = float(np.max(np.abs(g)))
-        if gmax <= settings.tolerance:
+        if gmax <= tolerance:
             iterations -= 1
             break
         w = p * (1.0 - p)
@@ -211,7 +214,7 @@ def reference_newton_fit(m, support, settings):
         if not improved:
             break
     else:
-        iterations = settings.max_iterations
+        iterations = max_iterations
 
     eta = theta[0] + xs @ theta[1:]
     resid = _masked_sigmoid(eta) - y
@@ -220,7 +223,7 @@ def reference_newton_fit(m, support, settings):
     g[1:] = xs.T @ resid + ridge * theta[1:]
     gmax = float(np.max(np.abs(g)))
     separated = ridge == 0.0 and bool(np.all((2.0 * y - 1.0) * eta > 0.0))
-    converged = gmax <= settings.tolerance and not separated
+    converged = gmax <= tolerance and not separated
     return theta, current, iterations, converged, gmax
 
 

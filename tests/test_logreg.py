@@ -175,7 +175,7 @@ class TestFit:
             norms.append(float(np.linalg.norm(model.beta)))
         assert norms[0] >= norms[1] >= norms[2]
 
-    def test_objective_trace_non_increasing(self):
+    def test_objective_trace_non_increasing(self, monkeypatch):
         # Fits start from zeros, so a fit capped at t iterations stops at the
         # t-th iterate of the uncapped fit: the capped objectives are its trace.
         m = random_binary_matrix(6, 150, 5, signal={2: 1.5})
@@ -183,7 +183,8 @@ class TestFit:
         assert full.diagnostics.converged and full.diagnostics.iterations >= 3
         trace = []
         for t in range(1, full.diagnostics.iterations + 2):
-            capped = fit(m, tuple(range(5)), FitSettings(ridge=0.01, max_iterations=t))
+            monkeypatch.setattr(logreg, "MAX_ITERATIONS", t)
+            capped = fit(m, tuple(range(5)), FitSettings(ridge=0.01))
             assert capped.diagnostics.iterations == min(t, full.diagnostics.iterations)
             trace.append(capped.diagnostics.final_nll)
         assert trace[-1] == full.diagnostics.final_nll
@@ -196,7 +197,7 @@ class TestFit:
         model = fit(m, (0,))
         assert model.ridge == pytest.approx(1.0 / 128)
 
-    def test_bitwise_equal_to_reference_newton(self):
+    def test_bitwise_equal_to_reference_newton(self, monkeypatch):
         # 108 instances: every combination of ridge, max_iterations and
         # separable labels, six draws each, one of them with an empty support.
         grid = itertools.product((0.0, None, 0.5), (1, 2, 100), (False, True), range(6))
@@ -212,9 +213,10 @@ class TestFit:
             m = FeatureMatrix(x=x, columns=tuple(f"f{j}" for j in range(p)), y=y)
             size = 0 if draw == 0 else int(rng.integers(1, p + 1))
             support = tuple(sorted(rng.choice(p, size, replace=False).tolist()))
-            settings = FitSettings(ridge=ridge, max_iterations=max_iter)
-            model = fit(m, support, settings)
-            theta, final, iters, converged, gmax = reference_newton_fit(m, support, settings)
+            monkeypatch.setattr(logreg, "MAX_ITERATIONS", max_iter)
+            model = fit(m, support, FitSettings(ridge=ridge))
+            theta, final, iters, converged, gmax = reference_newton_fit(
+                m, support, ridge, max_iterations=max_iter)
             d = model.diagnostics
             got = np.concatenate([[model.intercept], model.beta])
             assert got.tobytes() == theta.tobytes(), case
@@ -223,13 +225,23 @@ class TestFit:
 
     @pytest.mark.parametrize("kwargs", [
         {"ridge": -0.1}, {"ridge": math.inf}, {"ridge": math.nan},
-        {"tolerance": 0.0}, {"tolerance": math.inf}, {"tolerance": math.nan},
-        {"max_iterations": 0}, {"max_iterations": 2.5}, {"max_iterations": True},
-        {"ridge": True}, {"ridge": "0.1"}, {"tolerance": True}, {"tolerance": "1e-8"},
+        {"ridge": True}, {"ridge": "0.1"},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             FitSettings(**kwargs)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {"tolerance": 5.0}), ((), {"max_iterations": 1}),
+        ((None, 5.0), {}), ((None, 1e-8, 1), {}),
+    ])
+    def test_stopping_rule_is_not_a_setting(self, args, kwargs):
+        # A looser tolerance would let branch-and-bound certify a suboptimal
+        # support and a lower cap would void certificates, so no caller can
+        # pass either, by name or by position.
+        with pytest.raises(TypeError):
+            FitSettings(*args, **kwargs)
+        assert (logreg.TOLERANCE, logreg.MAX_ITERATIONS) == (1e-8, 100)
 
     def test_bad_support_rejected(self):
         m = random_binary_matrix(8, 30, 3)
@@ -254,7 +266,7 @@ def theta_of(model):
 
 
 class TestPatternFit:
-    def test_matches_reference_newton_on_rows(self):
+    def test_matches_reference_newton_on_rows(self, monkeypatch):
         # 66 instances: k = 0..10 x ridge x separable labels, each on the cells.
         # At the default tolerance ~1% of separable ridge > 0 fits reach the
         # objective's rounding floor before the gradient tolerance, and from
@@ -267,10 +279,11 @@ class TestPatternFit:
             m = pattern_matrix(case, separable)
             assert m.n >= logreg.PATTERN_MIN_ROWS and 4 << k <= m.n
             support = tuple(range(k)) if separable else tuple(range(10 - k, 10))
-            for tolerance, above_floor in ((logreg.DEFAULT_TOLERANCE, False), (1e-6, True)):
-                settings = FitSettings(ridge=ridge, tolerance=tolerance)
-                model = fit(m, support, settings)
-                theta, final, iters, converged, _ = reference_newton_fit(m, support, settings)
+            for tolerance, above_floor in ((1e-8, False), (1e-6, True)):
+                monkeypatch.setattr(logreg, "TOLERANCE", tolerance)
+                model = fit(m, support, FitSettings(ridge=ridge))
+                theta, final, iters, converged, _ = reference_newton_fit(
+                    m, support, ridge, tolerance=tolerance)
                 d = model.diagnostics
                 assert abs(d.final_nll - final) <= 1e-12 * abs(final), case
                 assert d.converged == converged, case
@@ -325,7 +338,7 @@ class TestWarmStart:
             h = design.T @ (design * (p * (1 - p))[:, None])
             h[1:, 1:] += cold.ridge * np.eye(len(support))
             mu = np.linalg.eigvalsh(h)[0]
-            g = math.sqrt(len(support) + 1) * settings.tolerance  # |g| for each fit
+            g = math.sqrt(len(support) + 1) * logreg.TOLERANCE  # |g| for each fit
             value = cold.diagnostics.final_nll
             assert abs(warm.diagnostics.final_nll - value) <= g * g / mu + 1e-14 * abs(value)
             assert np.linalg.norm(theta_of(warm) - theta_of(cold)) <= 2 * g / mu
@@ -361,7 +374,7 @@ class TestOccupiedCells:
             support = tuple(range(12))
             assert 4 << len(support) > m.n >= 2 << len(support)
             model = fit(m, support)
-            _, final, iters, converged, _ = reference_newton_fit(m, support, FitSettings())
+            _, final, iters, converged, _ = reference_newton_fit(m, support, None)
             d = model.diagnostics
             assert d.converged and converged
             assert abs(d.final_nll - final) <= 1e-12 * abs(final), seed
@@ -391,17 +404,17 @@ class TestShortFits:
     halves, exact in either order), but their objective and gradient sum
     over cells and match the row sums to rounding."""
 
-    @pytest.mark.parametrize("settings_of", [
-        lambda ridge: FitSettings(ridge=ridge, tolerance=1e6),
-        lambda ridge: FitSettings(ridge=ridge, max_iterations=1),
+    @pytest.mark.parametrize("cap", [
+        {"tolerance": 1e6}, {"max_iterations": 1},
     ], ids=["zero-iterations", "one-iteration"])
-    def test_match_reference_newton(self, settings_of):
+    def test_match_reference_newton(self, monkeypatch, cap):
+        for name, value in cap.items():
+            monkeypatch.setattr(logreg, name.upper(), value)
         for m, support, ridge, cells in short_fit_cases():
-            settings = settings_of(ridge)
-            model = fit(m, support, settings)
-            theta, final, iters, converged, gmax = reference_newton_fit(m, support, settings)
+            model = fit(m, support, FitSettings(ridge=ridge))
+            theta, final, iters, converged, gmax = reference_newton_fit(m, support, ridge, **cap)
             d = model.diagnostics
-            assert iters == (0 if settings.tolerance > 1 else 1)
+            assert iters == (0 if "tolerance" in cap else 1)
             assert theta_of(model).tobytes() == theta.tobytes()
             assert (d.iterations, d.converged) == (iters, converged)
             if cells:
@@ -410,13 +423,14 @@ class TestShortFits:
             else:
                 assert (d.final_nll, d.max_abs_gradient) == (final, gmax)
 
-    def test_cell_objective_at_zeros(self):
+    def test_cell_objective_at_zeros(self, monkeypatch):
         # At zeros the cell objective is the count-weighted sum of
         # log1p(exp(-|0|)) + max(0, 0) - y * 0, evaluated here term by term.
+        monkeypatch.setattr(logreg, "TOLERANCE", 1e6)  # the fit stops at zeros
         for m, support, ridge, cells in short_fit_cases():
             if not cells:
                 continue
-            d = fit(m, support, FitSettings(ridge=ridge, tolerance=1e6)).diagnostics
+            d = fit(m, support, FitSettings(ridge=ridge)).diagnostics
             codes = m.x[:, support] @ 2.0 ** np.arange(1, len(support) + 1) + m.y
             cell, counts = np.unique(codes.astype(np.int64), return_counts=True)
             eta, y = np.zeros(cell.size), (cell & 1).astype(float)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -142,6 +143,26 @@ class TestBestSubset:
             _, expected = enumerate_best_subset(m, p - 1, settings)
             assert res.objective <= expected + 1e-6, seed
         assert certified >= 5
+
+    @pytest.mark.parametrize("ridge", [None, 0.0, 0.01, 1.0])
+    def test_brute_force_beats_no_certificate(self, ridge):
+        # FitSettings holds only the ridge, so these are the settings a
+        # caller can pass. Each seed's supports are fit once; the best
+        # objective over sizes <= k bounds every size-k result, and on these
+        # instances every result is certified.
+        settings = FitSettings(ridge=ridge)
+        for seed in range(10):
+            m = random_binary_matrix(seed, 200, 8)
+            by_size = [math.inf] * 7
+            for support in itertools.chain.from_iterable(
+                    itertools.combinations(range(m.p), size) for size in range(7)):
+                value = logreg.fit(m, support, settings).diagnostics.final_nll
+                by_size[len(support)] = min(by_size[len(support)], value)
+            for k in range(1, 7):
+                res = best_subset(m, k, settings)
+                floor = min(by_size[:k + 1])
+                assert res.certified_optimal, (seed, k)
+                assert res.objective <= floor + 1e-9 * abs(floor), (seed, k)
 
     def test_unconverged_bound_fit_never_prunes(self, monkeypatch):
         # Only the bound fits have more than k = 2 columns. Pruning on their

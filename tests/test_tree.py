@@ -103,15 +103,15 @@ class TestFitTree:
         m = binary_matrix(2, 400, 4, rate_fn=lambda x: 0.2 + 0.6 * x[:, 0])
         tree = fit_tree(m, TreeSettings(alpha=1.0))
         assert tree.n_leaves() == 1
-        leaf = tree.nodes[tree.root]
+        leaf = tree.nodes[0]
         assert leaf.n == 400
 
     def test_depth1_planted_split_recovered(self):
         m = binary_matrix(3, 2000, 5, rate_fn=lambda x: 0.2 + 0.7 * x[:, 2])
         settings = TreeSettings(max_depth=1, alpha=0.01, min_leaf=10)
         tree = fit_tree(m, settings)
-        assert isinstance(tree.nodes[tree.root], Split)
-        assert tree.nodes[tree.root].feature == 2
+        assert isinstance(tree.nodes[0], Split)
+        assert tree.nodes[0].feature == 2
         # agrees with exhaustive search over all depth-1 trees
         best = enumerate_trees_best_objective(m.x, m.y, 1, 10, 0.01)
         assert tree_objective(tree, 0.01) == pytest.approx(best, abs=1e-12)
@@ -218,7 +218,7 @@ def route_one(tree, row):
 
 def walk(tree, row):
     """The leaf one row reaches, by walking the nodes from the root."""
-    idx = tree.root
+    idx = 0
     while isinstance(tree.nodes[idx], Split):
         node = tree.nodes[idx]
         idx = node.right if row[node.feature] else node.left
@@ -227,7 +227,7 @@ def walk(tree, row):
 
 class TestPredict:
     def test_single_leaf_tree_routes_everything(self):
-        tree = Tree(nodes=(Leaf(n=50, n_struck=10),), root=0, columns=("a",), depth=0)
+        tree = Tree(nodes=(Leaf(n=50, n_struck=10),), columns=("a",), depth=0)
         leaf_id, p = route_one(tree, [1])
         assert leaf_id == 0
         assert p == pytest.approx(0.2)
@@ -254,7 +254,7 @@ class TestPredict:
 
 class TestDescribePath:
     def test_root_only_tree_has_empty_path(self):
-        tree = Tree(nodes=(Leaf(n=20, n_struck=5),), root=0, columns=(), depth=0)
+        tree = Tree(nodes=(Leaf(n=20, n_struck=5),), columns=(), depth=0)
         assert describe_path(tree, 0) == []
 
     def test_know_def_leaf_conditions(self):
@@ -275,7 +275,7 @@ class TestDescribePath:
         with pytest.raises(ValueError):
             describe_path(tree, 99)
         with pytest.raises(ValueError):
-            describe_path(tree, tree.root)  # a split, not a leaf
+            describe_path(tree, 0)  # the root: a split, not a leaf
 
 
 class TestTuneAlpha:
