@@ -10,10 +10,12 @@ Ties between equal-objective trees break toward fewer leaves and then the
 lexicographically smallest pre-order split sequence, so the result is a
 function of the data and the settings alone.
 
-Leaves and the last split level do not depend on alpha: a row set's best
+The last two split levels are tabled free of alpha: a row set's best
 one-split tree is the first feature with the fewest misclassified rows at
-any alpha, and alpha only decides whether it beats the leaf. tune_alpha
-therefore lends one table of that level to all of a fold's fits.
+any alpha, and alpha only decides whether it beats the leaf; a row set with
+two levels left keeps its children's one-split entries per feature and picks
+among them at each alpha with integer arithmetic. tune_alpha therefore lends
+one table of both levels to all of a fold's fits.
 """
 
 from __future__ import annotations
@@ -102,19 +104,27 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
     most two leaves' penalty is not split, and a split is dropped once its
     right child plus one leaf exceeds the best.
 
-    Leaves and the last split level do not depend on alpha. A leaf is
-    computed where it is needed and never memoized. A row set with one level
-    left keeps (leaf misclassified, fewest misclassified over its one-split
-    trees, first feature attaining that) in a table keyed by its bitset. All
-    its splits have two leaves, so under the order above the first feature
-    with the fewest misclassified is the best split, and it wins iff its
-    cost is strictly below the leaf's (at equal cost the leaf has fewer
-    leaves), i.e. iff it saves more than floor(alpha * n) misclassified
-    rows; that comparison is the only place alpha enters. The prunes only
-    skip candidates that cannot win, so computing every split there changes
-    no result. ``_splits`` lends that table to fits of the same matrix and
-    min_leaf at other alphas (tune_alpha passes one per fold); a fit clears
-    a table it made itself.
+    The last two split levels read alpha-free entries from one table, so
+    the table serves every alpha. A leaf is computed where it is needed and
+    never memoized. The table keeps two kinds of entry:
+    - Keyed by the bitset of a row set with one level left: (leaf
+      misclassified, fewest misclassified over its one-split trees, first
+      feature attaining that). All its splits have two leaves, so under the
+      order above the first feature with the fewest misclassified is the
+      best split, and it wins iff its cost is strictly below the leaf's (at
+      equal cost the leaf has fewer leaves), i.e. iff it saves more than
+      floor(alpha * n) misclassified rows.
+    - Keyed by (rows, 2) for a row set with two levels left: the flat tuple
+      of (feature, right child's entry, left child's entry) for every
+      feature that keeps min_leaf on both sides, in ascending order. At any
+      alpha each child splits by the rule above, and a feature replaces the
+      incumbent only on a strict (cost, leaves) improvement, as in the
+      general step.
+    The floor(alpha * n) comparison is the only place alpha enters either
+    entry. The prunes only skip candidates that cannot win, so computing
+    every split and every child there changes no result. ``_splits`` lends
+    that table to fits of the same matrix and min_leaf at other alphas
+    (tune_alpha passes one per fold); a fit clears a table it made itself.
 
     The matrix must already have race columns removed; leaves keep their
     training counts so p_strike is the empirical rate.
@@ -141,20 +151,38 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
         first feature attaining it); (leaf, n + 1, None) when no split keeps
         min_leaf, and n + 1 misclassified never beats the leaf."""
         n_rows = rows.bit_count()
-        n_struck = (rows & struck).bit_count()
+        rows_struck = rows & struck
+        n_struck = rows_struck.bit_count()
         best_mis, best_f = n_rows + 1, None
         for f, has_f in enumerate(features):
-            right = rows & has_f
-            n_right = right.bit_count()
+            n_right = (rows & has_f).bit_count()
             n_left = n_rows - n_right
             if n_right < min_leaf or n_left < min_leaf:
                 continue
-            r_struck = (right & struck).bit_count()
+            r_struck = (rows_struck & has_f).bit_count()
             l_struck = n_struck - r_struck
-            mis = min(r_struck, n_right - r_struck) + min(l_struck, n_left - l_struck)
+            mis = ((r_struck if 2 * r_struck <= n_right else n_right - r_struck)
+                   + (l_struck if 2 * l_struck <= n_left else n_left - l_struck))
             if mis < best_mis:
                 best_mis, best_f = mis, f
         found = splits[rows] = (min(n_struck, n_rows - n_struck), best_mis, best_f)
+        return found
+
+    def children(rows: int) -> tuple:
+        """(feature, right child's one-split entry, left child's), flat, for
+        every feature that keeps min_leaf on both sides, in feature order;
+        flat so that the table holds no tuple per feature."""
+        n_rows = rows.bit_count()
+        found = []
+        for f, has_f in enumerate(features):
+            right = rows & has_f
+            n_right = right.bit_count()
+            if n_right < min_leaf or n_rows - n_right < min_leaf:
+                continue
+            left = rows ^ right
+            found += (f, splits.get(right) or best_split(right),
+                      splits.get(left) or best_split(left))
+        found = splits[rows, 2] = tuple(found)
         return found
 
     def best(rows: int, levels: int) -> tuple:
@@ -170,18 +198,32 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
         n_struck = (rows & struck).bit_count()
         result = (min(n_struck, n_rows - n_struck) * a_den + leaf_cost, 1, None)
         if levels and n_rows >= 2 * min_leaf and result[0] > 2 * leaf_cost:
-            for f, has_f in enumerate(features):
-                right = rows & has_f
-                n_right = right.bit_count()
-                if n_right < min_leaf or n_rows - n_right < min_leaf:
-                    continue
-                r = best(right, levels - 1)
-                if r[0] + leaf_cost > result[0]:
-                    continue
-                l = best(rows ^ right, levels - 1)
-                candidate = (l[0] + r[0], l[1] + r[1], f)
-                if candidate[:2] < result[:2]:
-                    result = candidate
+            if levels == 2:
+                best_cost, best_leaves = result[:2]
+                entries = iter(splits.get((rows, 2)) or children(rows))
+                for f, (r_leaf, r_split, _), (l_leaf, l_split, _) in zip(
+                        entries, entries, entries):
+                    mis, leaves = r_leaf + l_leaf, 2
+                    if r_leaf - r_split > gain_floor:
+                        mis, leaves = mis - r_leaf + r_split, 3
+                    if l_leaf - l_split > gain_floor:
+                        mis, leaves = mis - l_leaf + l_split, leaves + 1
+                    cost = mis * a_den + leaves * leaf_cost
+                    if cost < best_cost or cost == best_cost and leaves < best_leaves:
+                        best_cost, best_leaves, result = cost, leaves, (cost, leaves, f)
+            else:
+                for f, has_f in enumerate(features):
+                    right = rows & has_f
+                    n_right = right.bit_count()
+                    if n_right < min_leaf or n_rows - n_right < min_leaf:
+                        continue
+                    r = best(right, levels - 1)
+                    if r[0] + leaf_cost > result[0]:
+                        continue
+                    l = best(rows ^ right, levels - 1)
+                    candidate = (l[0] + r[0], l[1] + r[1], f)
+                    if candidate[:2] < result[:2]:
+                        result = candidate
             memo[rows, levels] = result
         return result
 
@@ -279,8 +321,8 @@ def tune_alpha(
     (simpler trees); the winner is refit on the full training data.
     Folds run in the outer loop and the sorted grid in the inner one: each
     fold's training rows are taken once, and its fits at every alpha share
-    one table of the alpha-free last split level (see fit_tree), cleared
-    when the fold is done.
+    one table of the alpha-free last two split levels (see fit_tree),
+    cleared when the fold is done.
     """
     grid = tuple(sorted(alpha_grid))
     if not grid:

@@ -336,7 +336,7 @@ class TestTuneAlpha:
 
 class TestAlphaSharing:
     """tune_alpha lends each fold's fits one table of the alpha-free last
-    split level; sharing it must change no tree and keep no memory."""
+    two split levels; sharing it must change no tree and keep no memory."""
 
     @staticmethod
     def matrix(seed, n, p, labels):
@@ -413,6 +413,28 @@ class TestAlphaSharing:
             tree_settings = TreeSettings(max_depth=depth, alpha=alpha, min_leaf=min_leaf)
             tree = fit_tree(m, tree_settings, _splits=splits)
             assert tree_key(tree, alpha) == enumerate_trees_best_key(x, y, depth, min_leaf, alpha)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_alpha_zero_reads_a_table_filled_at_large_alphas(self, depth, seed):
+        # Descending alphas: at a large alpha the DP prunes most candidates,
+        # so a two-level entry filled only as far as that fit needed would
+        # hand alpha = 0 an incomplete list. Column 0 is rare (about 13 of
+        # 160 rows), so min_leaf = 8 fails it on one side of most row sets.
+        # At alpha >= 0.5 nothing splits (no row set misclassifies more than
+        # half of n), so 0.25 and 0.05 are what fill the table. A table that
+        # skips the features whose right child cannot beat the leaf fails
+        # at seed 0 for depths 2-3 and at seed 1 for depths 2 and 4.
+        rng = np.random.default_rng(seed)
+        x = (rng.random((160, 6)) < [0.08, 0.5, 0.4, 0.6, 0.3, 0.5]).astype(float)
+        y = (rng.random(160) < 0.2 + 0.4 * x[:, 1] + 0.3 * x[:, 0]).astype(int)
+        m = FeatureMatrix(x=x, columns=tuple(f"q{j}" for j in range(6)), y=y)
+        splits: dict = {}
+        for alpha in (1.0, 0.75, 0.25, 0.05, 0.0):
+            if alpha == 0.0:
+                assert any(isinstance(key, tuple) for key in splits)
+            tree_settings = TreeSettings(max_depth=depth, alpha=alpha, min_leaf=8)
+            assert fit_tree(m, tree_settings, _splits=splits) == fit_tree(m, tree_settings)
 
     def test_no_dp_table_outlives_tune_alpha(self):
         # The DP's functions call themselves. If that reference cycle
