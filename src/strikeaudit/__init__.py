@@ -30,7 +30,7 @@ from .errors import (
     UndefinedMetricError,
     UndefinedTestError,
 )
-from .logreg import FitSettings, LogisticModel, fit, gradient, nll, predict_proba, wald_pvalues
+from .logreg import FitSettings, LogisticModel, fit, predict_proba, wald_pvalues
 from .stats import ContingencyTable, auc, fisher_exact, holm_adjust
 from .subset import (
     SubsetPath,

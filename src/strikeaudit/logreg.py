@@ -84,12 +84,6 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0, z) / (1.0 + z)
 
 
-def _nll_raw(eta: np.ndarray, y: np.ndarray) -> float:
-    # log(1 + exp(eta)) - y*eta, evaluated as log1p(exp(-|eta|)) + max(eta, 0) - y*eta
-    terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta
-    return float(np.sum(terms))
-
-
 def _gradient(xs: np.ndarray, resid: np.ndarray, ridge: float, beta: np.ndarray) -> np.ndarray:
     """Gradient in (intercept, beta) from the residuals p - y."""
     g = np.empty(beta.size + 1)
@@ -116,24 +110,16 @@ def _design(m: FeatureMatrix, support: tuple) -> np.ndarray:
     return m.x[:, support]
 
 
-def nll(model: LogisticModel, m: FeatureMatrix) -> float:
-    """Penalized negative log-likelihood of the model on matrix ``m``."""
-    xs = _design(m, model.support)
-    eta = model.intercept + xs @ model.beta
-    penalty = 0.5 * model.ridge * float(model.beta @ model.beta)
-    return _nll_raw(eta, m.y.astype(float)) + penalty
-
-
-def gradient(model: LogisticModel, m: FeatureMatrix) -> np.ndarray:
-    """Gradient of ``nll`` in (intercept, beta); intercept component first."""
-    xs = _design(m, model.support)
-    resid = _sigmoid(model.intercept + xs @ model.beta) - m.y
-    return _gradient(xs, resid, model.ridge, model.beta)
-
-
 def predict_proba(model: LogisticModel, m: FeatureMatrix) -> np.ndarray:
+    """p(struck) for every row of ``m``.
+
+    Each row's score is summed elementwise in the same order, not by a BLAS
+    product, whose rounding can depend on where a row sits in the matrix and
+    on the CPU's kernel: rows with the same answers then tie exactly, as the
+    AUC's tie count assumes.
+    """
     xs = _design(m, model.support)
-    return _sigmoid(model.intercept + xs @ model.beta)
+    return _sigmoid(model.intercept + (xs * model.beta).sum(axis=1))
 
 
 def fit(
@@ -159,8 +145,8 @@ def fit(
     that fit bit for bit. It saves only numpy calls and temporaries: hoisted
     constants, in-place ufuncs into one n-length scratch buffer, and the
     objective at zeros written down, not evaluated. The gradient and the
-    Hessian come from ``_gradient`` and ``_hessian``, the ones ``gradient``
-    and ``wald_pvalues`` use. There is no augmented [1 | X] design with one
+    Hessian come from ``_gradient`` and ``_hessian``; ``wald_pvalues``
+    uses the same Hessian. There is no augmented [1 | X] design with one
     product for the whole Hessian: it sums in another order, so it would
     move every fit's last bits and the reference with them.
     """

@@ -33,19 +33,15 @@ _PRUNE_EPS = 1e-9
 @dataclass
 class SubsetResult:
     k: int
-    support: tuple[int, ...]
-    model: LogisticModel
-    objective: float
+    model: LogisticModel  # the winner; its objective is diagnostics.final_nll
     certified_optimal: bool
 
 
 @dataclass
 class SubsetPathEntry:
     k: int
-    support: tuple[int, ...]
     cv_auc_mean: float
     cv_auc_sd: float
-    train_nll: float
     certified: bool  # certified optimal on the full training data and every fold
 
 
@@ -64,8 +60,7 @@ class SubsetPath:
     entries: list[SubsetPathEntry]
     chosen_k: int
     test_auc: float
-    models: tuple[LogisticModel, ...]
-    chosen_model: LogisticModel
+    models: tuple[LogisticModel, ...]  # each size's winner on all training rows, in entry order
     columns: tuple[str, ...]
     search: SearchCounts
 
@@ -174,13 +169,8 @@ def _branch_and_bound(
         stack.append((forced, rest, None, bound_model))
         stack.append((forced | {u}, rest, bound, bound_model))
     model = cache.fit(best_support)
-    return SubsetResult(
-        k=k,
-        support=model.support,
-        model=model,
-        objective=model.diagnostics.final_nll,
-        certified_optimal=certified and model.diagnostics.converged,
-    )
+    return SubsetResult(k=k, model=model,
+                        certified_optimal=certified and model.diagnostics.converged)
 
 
 def best_subset(
@@ -267,10 +257,8 @@ def subset_path(
     entries = [
         SubsetPathEntry(
             k=res.k,
-            support=res.support,
             cv_auc_mean=float(aucs.mean()),
             cv_auc_sd=float(aucs.std(ddof=1)),
-            train_nll=res.objective,
             certified=res.certified_optimal and bool(fold_ok),
         )
         for res, aucs, fold_ok in zip(results, auc_matrix.T, folds_certified)
@@ -278,14 +266,12 @@ def subset_path(
 
     # max keeps the first maximum, so ties break toward fewer features.
     chosen_k = max(entries, key=lambda e: e.cv_auc_mean).k
-    chosen_model = results[chosen_k - 1].model
-    test_auc = stats.auc(logreg.predict_proba(chosen_model, test), test.y)
+    test_auc = stats.auc(logreg.predict_proba(results[chosen_k - 1].model, test), test.y)
     return SubsetPath(
         entries=entries,
         chosen_k=chosen_k,
         test_auc=float(test_auc),
         models=tuple(res.model for res in results),
-        chosen_model=chosen_model,
         columns=train.columns,
         search=counts,
     )
@@ -360,17 +346,17 @@ def path_to_json(path: SubsetPath) -> dict:
         "entries": [
             {
                 "k": e.k,
-                "support": [path.columns[j] for j in e.support],
+                "support": [path.columns[j] for j in model.support],
                 "cv_auc_mean": e.cv_auc_mean,
                 "cv_auc_sd": e.cv_auc_sd,
-                "train_nll": e.train_nll,
+                "train_nll": model.diagnostics.final_nll,
                 "certified": e.certified,
             }
-            for e in path.entries
+            for e, model in zip(path.entries, path.models)
         ],
         "chosen_k": path.chosen_k,
         "test_auc": path.test_auc,
-        "chosen_model": logreg.model_to_json(path.chosen_model, path.columns),
+        "chosen_model": logreg.model_to_json(path.models[path.chosen_k - 1], path.columns),
         "search": asdict(path.search),
     }
 

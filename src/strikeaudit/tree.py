@@ -67,7 +67,11 @@ class Tree:
 
     nodes: tuple
     columns: tuple[str, ...]
-    depth: int
+
+    @property
+    def depth(self) -> int:
+        """Splits on the longest root-to-leaf path."""
+        return max(len(conditions) for _, _, conditions in walk(self))
 
     def leaf_ids(self) -> list[int]:
         return [i for i, node in enumerate(self.nodes) if isinstance(node, Leaf)]
@@ -228,15 +232,12 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
         return result
 
     nodes: list = []
-    depth = 0
 
     def build(rows: int, level: int) -> int:
-        nonlocal depth
         feature = best(rows, settings.max_depth - level)[2]
         idx = len(nodes)
         nodes.append(None)
         if feature is None:
-            depth = max(depth, level)
             nodes[idx] = Leaf(n=rows.bit_count(), n_struck=(rows & struck).bit_count())
         else:
             right = rows & features[feature]
@@ -255,7 +256,7 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
         if _splits is None:
             splits.clear()
         del best, build
-    return Tree(nodes=tuple(nodes), columns=m.columns, depth=depth)
+    return Tree(nodes=tuple(nodes), columns=m.columns)
 
 
 def predict_leaves(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -369,14 +370,11 @@ def tree_from_json(obj: dict) -> Tree:
     """The tree of a tree_to_json document; a missing key, or leaf counts
     that no fitted tree has, is a SchemaError."""
     nodes: list = []
-    max_depth = 0
 
-    def rec(spec: dict, depth: int) -> int:
-        nonlocal max_depth
+    def rec(spec: dict) -> int:
         idx = len(nodes)
         nodes.append(None)
         if "leaf" in spec:
-            max_depth = max(max_depth, depth)
             n, n_struck = spec["leaf"]["n"], spec["leaf"]["n_struck"]
             if not (type(n) is int and type(n_struck) is int and n >= 1 and 0 <= n_struck <= n):
                 raise SchemaError(
@@ -388,16 +386,16 @@ def tree_from_json(obj: dict) -> Tree:
             feature = spec["feature"]
             if feature not in index:
                 raise ValueError(f"unknown feature in tree document: {feature!r}")
-            left = rec(spec["left"], depth + 1)
-            right = rec(spec["right"], depth + 1)
+            left = rec(spec["left"])
+            right = rec(spec["right"])
             nodes[idx] = Split(feature=index[feature], left=left, right=right)
         return idx
 
     with reading_document("tree document"):
         columns = tuple(obj["columns"])
         index = {name: j for j, name in enumerate(columns)}
-        rec(obj["root"], 0)
-    return Tree(nodes=tuple(nodes), columns=columns, depth=max_depth)
+        rec(obj["root"])
+    return Tree(nodes=tuple(nodes), columns=columns)
 
 
 def tree_to_text(tree: Tree) -> str:

@@ -144,6 +144,20 @@ def _nll_terms(eta, y):
     return float(np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta))
 
 
+def nll(model, m) -> float:
+    """Penalized negative log-likelihood of a LogisticModel on matrix m, by
+    its own arithmetic rather than the fit's."""
+    eta = model.intercept + m.x[:, model.support] @ model.beta
+    return _nll_terms(eta, m.y.astype(float)) + 0.5 * model.ridge * float(model.beta @ model.beta)
+
+
+def gradient(model, m) -> np.ndarray:
+    """Gradient of nll in (intercept, beta), the intercept first."""
+    xs = m.x[:, model.support]
+    resid = _masked_sigmoid(model.intercept + xs @ model.beta) - m.y
+    return np.concatenate([[resid.sum()], xs.T @ resid + model.ridge * model.beta])
+
+
 def reference_newton_fit(m, support, ridge, *, tolerance=1e-8, max_iterations=100):
     """The damped Newton fit written out step by step: a masked sigmoid, and
     the sigmoid and gradient recomputed wherever a step needs them (before

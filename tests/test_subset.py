@@ -55,7 +55,7 @@ class TestBestSubset:
     def test_k_zero_is_intercept_only(self):
         m = random_binary_matrix(0, 100, 4, signal={0: 2.0})
         res = best_subset(m, 0)
-        assert res.support == ()
+        assert res.model.support == ()
         assert res.certified_optimal
         assert res.model.beta.size == 0
 
@@ -63,8 +63,8 @@ class TestBestSubset:
         m = random_binary_matrix(1, 150, 4, signal={0: 1.0, 2: -1.0})
         res = best_subset(m, 4)
         full = logreg.fit(m, (0, 1, 2, 3))
-        assert res.support == (0, 1, 2, 3)
-        assert res.objective == pytest.approx(full.diagnostics.final_nll, abs=1e-9)
+        assert res.model.support == (0, 1, 2, 3)
+        assert res.model.diagnostics.final_nll == pytest.approx(full.diagnostics.final_nll, abs=1e-9)
 
     def test_k_above_p_rejected(self):
         m = random_binary_matrix(2, 50, 3)
@@ -74,12 +74,12 @@ class TestBestSubset:
     def test_single_planted_feature_found(self):
         m = random_binary_matrix(3, 2000, 8, signal={5: 2.0})
         res = best_subset(m, 1)
-        assert res.support == (5,)
+        assert res.model.support == (5,)
         # agrees with brute force over every singleton
         singles = [
             logreg.fit(m, (j,)).diagnostics.final_nll for j in range(m.p)
         ]
-        assert res.objective == pytest.approx(min(singles), abs=1e-6)
+        assert res.model.diagnostics.final_nll == pytest.approx(min(singles), abs=1e-6)
         assert int(np.argmin(singles)) == 5
 
     def test_oracle_equivalence_small_instances(self):
@@ -93,11 +93,11 @@ class TestBestSubset:
             res = best_subset(m, k, settings)
             assert res.certified_optimal
             _, expected = enumerate_best_subset(m, k, settings)
-            assert res.objective == pytest.approx(expected, abs=1e-6)
+            assert res.model.diagnostics.final_nll == pytest.approx(expected, abs=1e-6)
 
     def test_objective_monotone_in_k(self):
         m = random_binary_matrix(9, 400, 8, signal={0: 1.5, 3: -1.0})
-        objs = [best_subset(m, k).objective for k in range(0, 9)]
+        objs = [best_subset(m, k).model.diagnostics.final_nll for k in range(0, 9)]
         assert all(a >= b - 1e-9 for a, b in zip(objs, objs[1:]))
 
     def test_budget_exhaustion_returns_incumbent(self):
@@ -105,8 +105,8 @@ class TestBestSubset:
         m = random_binary_matrix(10, 200, 10, signal={0: 1.0})
         res = best_subset(m, 4, budget=5)
         assert not res.certified_optimal
-        assert len(res.support) == 4
-        assert np.isfinite(res.objective)
+        assert len(res.model.support) == 4
+        assert np.isfinite(res.model.diagnostics.final_nll)
 
     def test_returned_model_is_the_fit_from_zeros(self):
         for seed in range(6):
@@ -117,12 +117,12 @@ class TestBestSubset:
             m = random_binary_matrix(seed + 70, int(rng.integers(60, 300)), p, signal=sig)
             settings = FitSettings(ridge=float(rng.choice([0.0, 0.01, 1.0])))
             res = best_subset(m, k, settings)
-            ref = logreg.fit(m, res.support, settings)
+            ref = logreg.fit(m, res.model.support, settings)
             assert res.model.support == ref.support
             assert np.float64(res.model.intercept).tobytes() == np.float64(ref.intercept).tobytes()
             assert res.model.beta.tobytes() == ref.beta.tobytes(), seed
             assert res.model.diagnostics == ref.diagnostics, seed
-            assert res.objective == ref.diagnostics.final_nll
+            assert res.model.diagnostics.final_nll == ref.diagnostics.final_nll
 
     def test_ridge_zero_certificate_is_sound(self):
         # Tiny samples without ridge are often separable on some support:
@@ -141,7 +141,7 @@ class TestBestSubset:
             certified += 1
             assert res.model.diagnostics.converged, seed
             _, expected = enumerate_best_subset(m, p - 1, settings)
-            assert res.objective <= expected + 1e-6, seed
+            assert res.model.diagnostics.final_nll <= expected + 1e-6, seed
         assert certified >= 5
 
     @pytest.mark.parametrize("ridge", [None, 0.0, 0.01, 1.0])
@@ -162,7 +162,7 @@ class TestBestSubset:
                 res = best_subset(m, k, settings)
                 floor = min(by_size[:k + 1])
                 assert res.certified_optimal, (seed, k)
-                assert res.objective <= floor + 1e-9 * abs(floor), (seed, k)
+                assert res.model.diagnostics.final_nll <= floor + 1e-9 * abs(floor), (seed, k)
 
     def test_unconverged_bound_fit_never_prunes(self, monkeypatch):
         # Only the bound fits have more than k = 2 columns. Pruning on their
@@ -171,14 +171,14 @@ class TestBestSubset:
         m = proxy_matrix()
         report_unconverged(monkeypatch, lambda support: len(support) > 2, math.inf)
         res = best_subset(m, 2)
-        assert res.support == (0, 1)
+        assert res.model.support == (0, 1)
         assert res.certified_optimal
 
     def test_unconverged_losing_leaf_is_not_certified(self, monkeypatch):
         m = proxy_matrix()
         report_unconverged(monkeypatch, lambda support: support == (1, 2))
         res = best_subset(m, 2)
-        assert res.support == (0, 1)
+        assert res.model.support == (0, 1)
         assert res.model.diagnostics.converged
         assert not res.certified_optimal
 
@@ -186,8 +186,8 @@ class TestBestSubset:
         m = random_binary_matrix(11, 300, 9, signal={2: 1.2})
         a = best_subset(m, 3)
         b = best_subset(m, 3)
-        assert a.support == b.support
-        assert a.objective == b.objective
+        assert a.model.support == b.model.support
+        assert a.model.diagnostics.final_nll == b.model.diagnostics.final_nll
 
 
 def planted_path_matrix(seed, n=1200, p=8):
@@ -210,14 +210,14 @@ class TestSubsetPath:
         m = planted_path_matrix(1)
         train, test = split(m, 0.7, 0)
         path = subset_path(train, test, k_max=6, folds=3, seed=2)
-        nlls = [e.train_nll for e in path.entries]
+        nlls = [model.diagnostics.final_nll for model in path.models]
         assert all(a >= b - 1e-9 for a, b in zip(nlls, nlls[1:]))
 
     def test_planted_support_recovered(self):
         m = planted_path_matrix(2, n=3000, p=10)
         train, test = split(m, 0.7, 0)
         path = subset_path(train, test, k_max=5, folds=3, seed=3)
-        assert {0, 1, 2} <= set(path.entries[path.chosen_k - 1].support)
+        assert {0, 1, 2} <= set(path.models[path.chosen_k - 1].support)
         assert path.chosen_k in (3, 4, 5)
 
     def test_deterministic(self):
@@ -390,8 +390,8 @@ class TestRaceAblation:
         train, test, _, _ = race_path_instance(1)
         allowed = train.p - len(train.race_columns)
         path = subset_path(train, test, allowed, 3, 0, exclude=train.race_columns)
-        assert all(not set(e.support) & train.race_columns for e in path.entries)
-        assert len(path.entries[-1].support) == allowed
+        assert all(not set(model.support) & train.race_columns for model in path.models)
+        assert len(path.models[-1].support) == allowed
         # The search stops at the allowed columns.
         assert path_to_json(subset_path(train, test, allowed + 1, 3, 0,
                                          exclude=train.race_columns)) == path_to_json(path)
@@ -468,8 +468,8 @@ class TestImportanceProfile:
     def test_unselected_features_are_zero(self):
         path = self.make_path(2)
         profile = importance_profile(path)
-        for entry, row in zip(path.entries, profile["values"]):
-            unselected = set(range(len(profile["columns"]))) - set(entry.support)
+        for model, row in zip(path.models, profile["values"]):
+            unselected = set(range(len(profile["columns"]))) - set(model.support)
             assert all(row[j] == 0.0 for j in unselected)
 
     def test_dominant_feature_leads_everywhere(self):

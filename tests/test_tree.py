@@ -227,7 +227,7 @@ def walk(tree, row):
 
 class TestPredict:
     def test_single_leaf_tree_routes_everything(self):
-        tree = Tree(nodes=(Leaf(n=50, n_struck=10),), columns=("a",), depth=0)
+        tree = Tree(nodes=(Leaf(n=50, n_struck=10),), columns=("a",))
         leaf_id, p = route_one(tree, [1])
         assert leaf_id == 0
         assert p == pytest.approx(0.2)
@@ -254,8 +254,13 @@ class TestPredict:
 
 class TestDescribePath:
     def test_root_only_tree_has_empty_path(self):
-        tree = Tree(nodes=(Leaf(n=20, n_struck=5),), columns=(), depth=0)
+        tree = Tree(nodes=(Leaf(n=20, n_struck=5),), columns=())
         assert describe_path(tree, 0) == []
+        assert tree.depth == 0
+
+    def test_depth_is_the_longest_path(self):
+        tree = paper_tree()
+        assert tree.depth == 4 == max(len(describe_path(tree, i)) for i in tree.leaf_ids())
 
     def test_know_def_leaf_conditions(self):
         tree = paper_tree()
@@ -367,7 +372,7 @@ class TestAlphaSharing:
                 best_alpha, best_error = alpha, mean_error
         return best_alpha, fit_tree(train, replace(tree_settings, alpha=best_alpha))
 
-    alphas = st.sampled_from([0.0, 1 / 64, 0.01, 0.03, 0.1, 0.5, 0.75, 1.0])
+    alphas = st.sampled_from([0.0, 1 / 64, 0.01, 0.03, 0.1, 0.2, 0.3, 1.0])
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([64, 100, 128, 160]),
            st.integers(1, 5), st.sampled_from(["copy", "parity", "random"]),
