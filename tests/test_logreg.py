@@ -458,19 +458,16 @@ class TestPredictProba:
         expected = 1.0 / (1.0 + math.exp(-4.93109))
         assert predict_proba(model, row)[0] == pytest.approx(expected, rel=1e-12)
 
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_equal_rows_get_one_score(self, order):
+    def test_equal_rows_get_one_score(self):
         # One answer pattern at every third row and in the last three rows.
-        # take_rows leaves a fold's rows column-major, and there a BLAS
-        # product scored the rows after the last block of four 1 ulp apart
-        # from the others, so the AUC split a tie.
+        # Selecting the support's columns gives a column-major array, and on
+        # it a BLAS product scored the rows after the last block of four
+        # 1 ulp apart from the others, so the AUC split a tie.
         rng = np.random.default_rng(5)
         for n in range(90, 110):
             x = (rng.random((n, 8)) < 0.5).astype(float)
             x[::3] = x[-3:] = x[1]
-            m = FeatureMatrix(x=np.asarray(x, order=order), columns=tuple("abcdefgh"),
-                              y=rng.integers(0, 2, n))
+            m = FeatureMatrix(x=x, columns=tuple("abcdefgh"), y=rng.integers(0, 2, n))
             model = zero_model(support=tuple(range(8)))
             model.beta = rng.normal(0.0, 1.5, 8)
             model.intercept = float(rng.normal())
