@@ -32,7 +32,6 @@ MAX_ITERATIONS = 100
 PATTERN_MIN_ROWS = 1024
 # The line search's flatness slack, in units of the objective's magnitude.
 _SLACK_ULPS = 8.0 * sys.float_info.epsilon
-_LOG2 = math.log1p(1.0)  # the loss of one row at eta = 0
 
 
 @dataclass(frozen=True)
@@ -143,12 +142,11 @@ def fit(
     The loop performs the step-by-step reference fit's floating-point
     operations (tests/oracles.py) in the reference's order, so a row fit is
     that fit bit for bit. It saves only numpy calls and temporaries: hoisted
-    constants, in-place ufuncs into one n-length scratch buffer, and the
-    objective at zeros written down, not evaluated. The gradient and the
-    Hessian come from ``_gradient`` and ``_hessian``; ``wald_pvalues``
-    uses the same Hessian. There is no augmented [1 | X] design with one
-    product for the whole Hessian: it sums in another order, so it would
-    move every fit's last bits and the reference with them.
+    constants and in-place ufuncs into one n-length scratch buffer. The
+    gradient and the Hessian come from ``_gradient`` and ``_hessian``;
+    ``wald_pvalues`` uses the same Hessian. There is no augmented [1 | X]
+    design with one product for the whole Hessian: it sums in another order,
+    so it would move every fit's last bits and the reference with them.
     """
     support = tuple(support)
     xs = _design(m, support)
@@ -194,17 +192,8 @@ def fit(
         return p, _gradient(xs, resid, ridge, t[1:])
 
     # Every quantity below belongs to the accepted theta and is computed once.
-    # At zeros eta = 0, z = exp(0) = 1 and each term is log1p(1) exactly.
-    if start is None:
-        theta = np.zeros(k + 1)
-        eta, z = np.zeros(y.size), np.ones(y.size)
-        terms = np.full(y.size, _LOG2)
-        if w is not None:
-            terms *= w
-        current = float(terms.sum())
-    else:
-        theta = np.array(start, dtype=float)
-        eta, z, current = evaluate(theta)
+    theta = np.zeros(k + 1) if start is None else np.array(start, dtype=float)
+    eta, z, current = evaluate(theta)
     p, g = probability_and_gradient(theta, eta, z)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -301,7 +290,7 @@ def wald_pvalues(model: LogisticModel, m: FeatureMatrix) -> dict[str, float]:
         )
     xs = _design(m, model.support)
     names = ["intercept"] + [m.columns[j] for j in model.support]
-    p = _sigmoid(model.intercept + xs @ model.beta)
+    p = predict_proba(model, m)
     info = _hessian(xs, p * (1.0 - p), model.ridge * np.eye(len(model.support)))
     eigvals = np.linalg.eigvalsh(info)
     if eigvals[0] <= 1e-10 * max(eigvals[-1], 1.0):

@@ -5,12 +5,13 @@ penalized likelihood of a fit on the union of all still-allowed features:
 restricting the support can only raise the optimal objective, so that fit
 lower-bounds every descendant, provided it converged. The search starts
 with no best support and dives depth-first to a size-k support. Every fit
-that can be reported starts from zeros, so it depends only on its rows and
-support; a fit wider than every searched size only bounds, and starts from
-its parent's relaxation. A result is certified optimal only
-when the search finished within its node budget, no node was dismissed on
-an unconverged fit, and the winner's fit converged. Also: the
-backward-stepwise baseline and the per-size importance profile.
+starts from the fit of its anchor, itself plus every non-race column (from
+zeros when that is itself, or when the anchor's fit did not converge), so it
+depends only on its rows and support, never on the search that reached it.
+A result is certified optimal only when the search finished within its node
+budget, no node was dismissed on an unconverged fit, and the winner's fit
+converged. Also: the backward-stepwise baseline and the per-size importance
+profile.
 """
 
 from __future__ import annotations
@@ -68,34 +69,39 @@ class SubsetPath:
 class _FitCache:
     """Memoized Newton fits on one row set, keyed by the sorted support, which
     is the model's own support tuple, so a key takes no memory of its own. A
-    fit of at most ``widest`` columns (the widest searched size) starts from
-    zeros, so the table, which race_ablation shares between its two
-    searches, cannot change it. A wider fit only bounds: it starts from its
-    parent's relaxation, so its last bits depend on its first visitor."""
+    fit of S starts from the fit of its anchor, S plus every non-race column:
+    its intercept and its coefficients on S. An anchor starts from zeros, and
+    so does S when its anchor's fit did not converge. A fit thus depends only
+    on its rows and support, so the table, which race_ablation shares between
+    its two searches, changes no fit; with the race columns kept out of the
+    anchors, the race-free search fits what a search without them would."""
 
     def __init__(self, m: FeatureMatrix, settings: FitSettings, counts: SearchCounts,
-                 widest: int, models: dict | None = None, exclude: frozenset = frozenset()):
+                 models: dict | None = None, exclude: frozenset = frozenset()):
         self.m = m
         self.settings = settings
         self.counts = counts
-        self.widest, self.exclude = widest, exclude
+        self.exclude = exclude
+        self.non_race = frozenset(range(m.p)) - m.race_columns
         self._models = {} if models is None else models
         q = m.x.mean(axis=0)
         self.sd = np.sqrt(q * (1.0 - q))  # per binary column over these rows, for branching
 
-    def fit(self, support, parent: LogisticModel | None = None) -> LogisticModel:
+    def fit(self, support) -> LogisticModel:
         key = tuple(sorted(support))
         model = self._models.get(key)
         if model is not None:
             self.counts.memo_hits += 1
-        else:
-            start = None  # parent: the relaxation of support plus one column
-            if parent is not None and len(key) > self.widest:
-                start = [parent.intercept, *(b for j, b in zip(parent.support, parent.beta)
-                                             if j in support)]
-            model = self._models[key] = logreg.fit(self.m, key, self.settings, start=start)
-            self.counts.fits += 1
-            self.counts.unconverged += not model.diagnostics.converged
+            return model
+        # The anchor is read, or fitted, without counting a memo hit.
+        anchor = tuple(sorted(self.non_race.union(key)))
+        base = anchor != key and (self._models.get(anchor) or self.fit(anchor))
+        start = None
+        if base and base.diagnostics.converged:
+            start = [base.intercept, *(b for j, b in zip(anchor, base.beta) if j in support)]
+        model = self._models[key] = logreg.fit(self.m, key, self.settings, start=start)
+        self.counts.fits += 1
+        self.counts.unconverged += not model.diagnostics.converged
         return model
 
     def beaten(self, union: set, best_obj: float) -> bool:
@@ -128,9 +134,9 @@ def _branch_and_bound(
 
     # Stack entries: (forced, allowed, bound, bound_model). An include-child
     # has its parent's union of forced and allowed features, so it inherits
-    # the parent's bound and relaxation fit; an exclude-child carries that fit
-    # as a warm start and is bounded on pop. Include-children are popped first,
-    # so the search dives to a size-k support before it backtracks.
+    # the parent's bound and relaxation fit; an exclude-child is bounded on
+    # pop. Include-children are popped first, so the search dives to a size-k
+    # support before it backtracks.
     stack: list[tuple[frozenset, tuple[int, ...], float | None, LogisticModel | None]] = [
         (frozenset(), allowed, None, None)
     ]
@@ -152,7 +158,7 @@ def _branch_and_bound(
             consider(forced)
             continue
         if bound is None:
-            bound_model = cache.fit(union, bound_model)
+            bound_model = cache.fit(union)
             # Only a converged fit attains the minimum over the union; an
             # unconverged one bounds nothing and never prunes.
             diag = bound_model.diagnostics
@@ -166,7 +172,7 @@ def _branch_and_bound(
         coef = dict(zip(bound_model.support, scaled))
         u = max(allowed, key=lambda j: (coef.get(j, 0.0), -j))
         rest = tuple(j for j in allowed if j != u)
-        stack.append((forced, rest, None, bound_model))
+        stack.append((forced, rest, None, None))
         stack.append((forced | {u}, rest, bound, bound_model))
     model = cache.fit(best_support)
     return SubsetResult(k=k, model=model,
@@ -189,7 +195,7 @@ def best_subset(
     """
     if k < 0 or k > m.p:
         raise ValueError(f"k must be in [0, {m.p}], got {k}")
-    cache = _FitCache(m, settings, SearchCounts(), k)
+    cache = _FitCache(m, settings, SearchCounts())
     return _branch_and_bound(cache, tuple(range(m.p)), k, budget)
 
 
@@ -217,11 +223,11 @@ def subset_path(
     No search uses a column in ``exclude``; column indices keep their
     meaning, so tie-breaks are those of the matrix without them. ``_fits``
     lends the fit tables of each row set (keyed by the row indices' bytes,
-    None for all rows) to a call on the same training matrix, FitSettings
-    and k_max, as in race_ablation; with ``exclude``, its fits of a node's
+    None for all rows) to a call on the same training matrix and
+    FitSettings, as in race_ablation; with ``exclude``, its fits of a node's
     union plus those columns can dismiss the node. It changes the search
-    counts, and, as a warm bound fit's last bits depend on its first
-    visitor, a result only at a near-tie within the fit tolerance.
+    counts and no result: a fit starts from its anchor's fit, which depends
+    only on the rows and the support.
     """
     if not all(0 <= j < train.p for j in exclude):
         raise ValueError(f"exclude must hold column indices in [0, {train.p})")
@@ -239,7 +245,7 @@ def subset_path(
     def search(rows) -> list[SubsetResult]:
         # The cache, and with it a fold's row matrix, dies when this returns.
         key, m = (None, train) if rows is None else (rows.tobytes(), train.take_rows(rows))
-        cache = _FitCache(m, settings, counts, ks[-1], fits.setdefault(key, {}), exclude)
+        cache = _FitCache(m, settings, counts, fits.setdefault(key, {}), exclude)
         return [_branch_and_bound(cache, allowed, k, budget) for k in ks]
 
     auc_rows = []

@@ -473,24 +473,23 @@ class TestRunAudit:
 
     def test_each_problem_solved_once(self, tmp_path, monkeypatch):
         # A problem is the rows' targets and the support's named columns; it
-        # is solved once, from zeros unless it is wider than any searched size.
+        # is solved once, from zeros only when it holds every non-race column.
         solved = []
-        warm_widths = []
+        cold_holds_non_race = []
         real_fit = logreg.fit
 
         def recording_fit(m, support, settings=logreg.FitSettings(), *, start=None):
             columns = frozenset((m.columns[j], m.x[:, j].tobytes()) for j in support)
             solved.append((m.y.tobytes(), columns))
-            if start is not None:
-                warm_widths.append(len(support))
+            if start is None:
+                cold_holds_non_race.append(set(range(m.p)) - m.race_columns <= set(support))
             return real_fit(m, support, settings, start=start)
 
         monkeypatch.setattr(logreg, "fit", recording_fit)
-        cfg = disparity_audit_config(tmp_path, seed=12, n=900)
-        run_audit(cfg)
+        run_audit(disparity_audit_config(tmp_path, seed=12, n=900))
         assert solved
         assert len(set(solved)) == len(solved)
-        assert all(width > cfg.k_max for width in warm_widths)
+        assert cold_holds_non_race and all(cold_holds_non_race)
 
     def test_config_json_round_trip(self, tmp_path):
         cfg = disparity_audit_config(tmp_path, seed=10, n=900)

@@ -308,26 +308,30 @@ class TestPatternFit:
 
 
 def warm_fit_cases():
-    """(matrix, parent support, dropped column, ridge) on the row path and on
-    the cell path."""
+    """(matrix, wider support, dropped columns, ridge) on the row path and on
+    the cell path: one column dropped, as a bound fit's parent drops, and
+    several, as a search fit's anchor drops."""
     for case, ridge in enumerate((None, 0.5)):
-        yield random_binary_matrix(60 + case, 300, 6, signal={0: 1.0, 2: -0.8}), \
-            tuple(range(6)), 2, ridge
-        yield pattern_matrix(400 + case), tuple(range(10)), 1, ridge
+        rows = random_binary_matrix(60 + case, 300, 6, signal={0: 1.0, 2: -0.8})
+        cells = pattern_matrix(400 + case)
+        yield rows, tuple(range(6)), (2,), ridge
+        yield rows, tuple(range(6)), (1, 3, 4), ridge
+        yield cells, tuple(range(10)), (1,), ridge
+        yield cells, tuple(range(11)), (0, 3, 4, 7, 9), ridge
 
 
 class TestWarmStart:
-    def test_parent_minus_one_column_reaches_the_fit_from_zeros(self):
+    def test_start_sliced_from_a_wider_fit_reaches_the_fit_from_zeros(self):
         # At the optimum theta* the objective is locally quadratic with
         # Hessian H, smallest eigenvalue mu. A gradient g then puts theta
         # within |g| / mu of theta* and its objective within |g|^2 / (2 mu)
         # of the minimum; both fits stop with max |g| <= tolerance.
-        for m, parent_support, dropped, ridge in warm_fit_cases():
+        for m, wide_support, dropped, ridge in warm_fit_cases():
             settings = FitSettings(ridge=ridge)
-            parent = fit(m, parent_support, settings)
-            support = tuple(j for j in parent_support if j != dropped)
-            start = [parent.intercept] + [b for j, b in zip(parent_support, parent.beta)
-                                          if j != dropped]
+            wide = fit(m, wide_support, settings)
+            support = tuple(j for j in wide_support if j not in dropped)
+            start = [wide.intercept] + [b for j, b in zip(wide_support, wide.beta)
+                                        if j not in dropped]
             warm = fit(m, support, settings, start=start)
             cold = fit(m, support, settings)
             assert warm.diagnostics.converged and cold.diagnostics.converged

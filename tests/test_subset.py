@@ -108,7 +108,7 @@ class TestBestSubset:
         assert len(res.model.support) == 4
         assert np.isfinite(res.model.diagnostics.final_nll)
 
-    def test_returned_model_is_the_fit_from_zeros(self):
+    def test_returned_model_is_the_fit_from_its_anchor(self):
         for seed in range(6):
             rng = np.random.default_rng(seed + 70)
             p = int(rng.integers(4, 9))
@@ -117,7 +117,7 @@ class TestBestSubset:
             m = random_binary_matrix(seed + 70, int(rng.integers(60, 300)), p, signal=sig)
             settings = FitSettings(ridge=float(rng.choice([0.0, 0.01, 1.0])))
             res = best_subset(m, k, settings)
-            ref = logreg.fit(m, res.model.support, settings)
+            ref = fit_from_anchor(m, res.model.support, settings)
             assert res.model.support == ref.support
             assert np.float64(res.model.intercept).tobytes() == np.float64(ref.intercept).tobytes()
             assert res.model.beta.tobytes() == ref.beta.tobytes(), seed
@@ -296,27 +296,70 @@ def record_fits(monkeypatch):
     return calls
 
 
-def assert_fits_from_zeros(path, train, settings=FitSettings()):
+def fit_from_anchor(m, support, settings=FitSettings()):
+    """The search's fit of ``support``, rebuilt without a table: it starts
+    from the fit of its anchor, the support plus every non-race column, or
+    from zeros when that is the support itself or the anchor's fit did not
+    converge."""
+    support = tuple(support)
+    anchor = tuple(sorted(set(support) | (set(range(m.p)) - m.race_columns)))
+    start = None
+    if anchor != support:
+        base = logreg.fit(m, anchor, settings)
+        if base.diagnostics.converged:
+            start = [base.intercept, *(b for j, b in zip(anchor, base.beta) if j in support)]
+    return logreg.fit(m, support, settings, start=start)
+
+
+def assert_same_fit(model, ref):
+    assert np.float64(model.intercept).tobytes() == np.float64(ref.intercept).tobytes()
+    assert model.beta.tobytes() == ref.beta.tobytes()
+    assert model.diagnostics == ref.diagnostics
+
+
+def assert_fits_from_anchor(path, train, settings=FitSettings()):
     for model in path.models:
-        ref = logreg.fit(train, model.support, settings)
-        assert np.float64(model.intercept).tobytes() == np.float64(ref.intercept).tobytes()
-        assert model.beta.tobytes() == ref.beta.tobytes()
-        assert model.diagnostics == ref.diagnostics
+        assert_same_fit(model, fit_from_anchor(train, model.support, settings))
 
 
-class TestWarmBoundFits:
-    def test_only_fits_wider_than_every_searched_size_start_warm(self, monkeypatch):
-        # k_max = 3 < p - 1 = 7: exclude-children of width 4..7 are bounds only.
+class TestAnchoredFits:
+    def test_only_anchors_start_from_zeros(self, monkeypatch):
+        # No race columns: every fit starts from its row set's fit of all 8
+        # columns, the one fit per row set (3 folds and all rows) from zeros.
         m = planted_path_matrix(8)
         train, test = split(m, 0.7, 0)
         calls = record_fits(monkeypatch)
         path = subset_path(train, test, k_max=3, folds=3, seed=1)
-        widths = [len(support) for support, start in calls if start is not None]
-        assert widths and min(widths) > 3
+        cold = [support for support, start in calls if start is None]
+        assert cold == [tuple(range(m.p))] * 4
+        warm = {len(support) for support, start in calls if start is not None}
+        assert {1, 2, 3} <= warm and max(warm) > 3
         assert all(len(start) == len(support) + 1 for support, start in calls
                    if start is not None)
         monkeypatch.undo()
-        assert_fits_from_zeros(path, train)
+        assert_fits_from_anchor(path, train)
+
+    def test_unconverged_anchor_leaves_every_fit_from_zeros(self, monkeypatch):
+        # Labels equal to column 0 separate the rows on every support that
+        # holds it, so with ridge = 0 the all-column fit diverges: no fit may
+        # start from it.
+        m = random_binary_matrix(11, 200, 5)
+        m = FeatureMatrix(x=m.x, columns=m.columns, y=m.x[:, 0].astype(int))
+        settings = FitSettings(ridge=0.0)
+        assert not logreg.fit(m, tuple(range(m.p)), settings).diagnostics.converged
+        fits = []
+        real_fit = logreg.fit
+
+        def fit(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(logreg, "fit", fit)
+        best_subset(m, 3, settings)
+        monkeypatch.undo()
+        assert len(fits) > 1 and any(0 not in model.support for model in fits)
+        for model in fits:
+            assert_same_fit(model, logreg.fit(m, model.support, settings))
 
 
 class TestRaceAblation:
@@ -353,17 +396,20 @@ class TestRaceAblation:
         assert ablated.search.fits < unpruned.search.fits
         assert search_free(unpruned) == search_free(ablated)
 
-    def test_wider_shape_with_warm_fits_and_superset_prunes(self, monkeypatch):
-        # p = 9 with k_max = 3: bound fits of 4..8 columns start warm in both
-        # searches, and the full search's fits dismiss ablated nodes.
+    def test_wider_shape_with_anchored_fits_and_superset_prunes(self, monkeypatch):
+        # p = 9 with k_max = 3 and race column 0: in both searches every fit
+        # starts from its anchor, itself plus columns 1..8, and the full
+        # search's fits dismiss ablated nodes.
         m = random_binary_matrix(5, 400, 9, signal={0: 1.0, 3: 1.2, 6: -0.9})
         m = FeatureMatrix(x=m.x, columns=m.columns, y=m.y, race_columns=frozenset({0}))
         train, test = split(m, 0.7, 5)
         calls = record_fits(monkeypatch)
         full, ablated = race_ablation(train, test, 3, 3, 5)
         monkeypatch.undo()
-        widths = [len(support) for support, start in calls if start is not None]
-        assert widths and min(widths) > 3
+        cold = {support for support, start in calls if start is None}
+        assert cold == {tuple(range(9)), tuple(range(1, 9))}
+        warm = {len(support) for support, start in calls if start is not None}
+        assert {1, 2, 3} <= warm and max(warm) > 3
         fresh = subset_path(train.without_race(), test.without_race(), 3, 3, 5)
         assert search_free(full) == search_free(subset_path(train, test, 3, 3, 5))
         assert search_free(ablated) == search_free(fresh)
@@ -372,8 +418,8 @@ class TestRaceAblation:
         monkeypatch.setattr(subset._FitCache, "beaten", lambda self, union, best_obj: False)
         _, unpruned = race_ablation(train, test, 3, 3, 5)
         assert ablated.search.fits < unpruned.search.fits
-        assert_fits_from_zeros(full, train)
-        assert_fits_from_zeros(ablated, train)
+        assert_fits_from_anchor(full, train)
+        assert_fits_from_anchor(ablated, train)
 
     def test_without_race_columns_the_ablation_raises(self):
         train, test, k_max, _ = race_path_instance(2)
@@ -403,11 +449,11 @@ class TestRaceAblation:
     def test_fits_shared_across_seeds_change_nothing(self):
         train, test, k_max, _ = race_path_instance(3)
         fits = {}
-        for seed in (1, 2):
-            shared = subset_path(train, test, k_max, 3, seed, _fits=fits)
-            fresh = subset_path(train, test, k_max, 3, seed)
+        for seed, k in ((1, k_max), (2, k_max), (2, 1)):  # and across k_max
+            shared = subset_path(train, test, k, 3, seed, _fits=fits)
+            fresh = subset_path(train, test, k, 3, seed)
             assert search_free(shared) == search_free(fresh)
-        # The second seed searched the full training rows already searched.
+        # The last search's row sets were all searched before.
         assert shared.search.fits < fresh.search.fits
 
 
