@@ -6,7 +6,9 @@ fit is the unique global optimum on its support.
 
 Binary answers make the likelihood on a support a function of its (answer
 pattern, struck) cell counts, so large matrices are fit on those counts; below
-PATTERN_MIN_ROWS rows a Newton step costs numpy call overhead, not rows.
+PATTERN_MIN_ROWS rows a Newton step costs numpy call overhead, not rows. One
+Newton loop serves both: a row is a cell of weight 1, and the intercept is
+column 0 of the design [1 | X].
 """
 
 from __future__ import annotations
@@ -83,23 +85,19 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0, z) / (1.0 + z)
 
 
-def _gradient(xs: np.ndarray, resid: np.ndarray, ridge: float, beta: np.ndarray) -> np.ndarray:
-    """Gradient in (intercept, beta) from the residuals p - y."""
-    g = np.empty(beta.size + 1)
-    g[0] = resid.sum()
-    g[1:] = xs.T @ resid + ridge * beta
-    return g
+def _hessian(xa: np.ndarray, hw: np.ndarray, penalty_diag: np.ndarray) -> np.ndarray:
+    """Hessian in theta = (intercept, beta) from the design [1 | X], the
+    weights p(1 - p) and the penalty diag(0, ridge, ..., ridge)."""
+    return (xa * hw[:, None]).T @ xa + penalty_diag
 
 
-def _hessian(xs: np.ndarray, w: np.ndarray, ridge_eye: np.ndarray) -> np.ndarray:
-    """Hessian in (intercept, beta) from the weights p(1 - p) and the
-    penalty block ridge * I; the intercept is unpenalized."""
-    k = xs.shape[1]
-    h = np.empty((k + 1, k + 1))
-    h[0, 0] = w.sum()
-    h[0, 1:] = h[1:, 0] = xs.T @ w
-    h[1:, 1:] = (xs * w[:, None]).T @ xs + ridge_eye
-    return h
+def _augmented(xs: np.ndarray) -> np.ndarray:
+    """[1 | xs] in C order. A BLAS product can round differently by layout,
+    so the fit and Wald inference build their design this one way."""
+    xa = np.empty((xs.shape[0], xs.shape[1] + 1))
+    xa[:, 0] = 1.0
+    xa[:, 1:] = xs
+    return xa
 
 
 def _design(m: FeatureMatrix, support: tuple) -> np.ndarray:
@@ -139,14 +137,14 @@ def fit(
     occupied cells of a wider support takes a sort, and there the cells
     rarely win enough to pay for it.
 
-    The loop performs the step-by-step reference fit's floating-point
-    operations (tests/oracles.py) in the reference's order, so a row fit is
-    that fit bit for bit. It saves only numpy calls and temporaries: hoisted
-    constants and in-place ufuncs into one n-length scratch buffer. The
-    gradient and the Hessian come from ``_gradient`` and ``_hessian``;
-    ``wald_pvalues`` uses the same Hessian. There is no augmented [1 | X]
-    design with one product for the whole Hessian: it sums in another order,
-    so it would move every fit's last bits and the reference with them.
+    One Newton loop runs on a weighted table with the design [1 | X], the
+    intercept as column 0: a row fit's table is its rows, each of weight 1
+    (multiplying by 1.0 is exact), and a cell fit's is its cells, weighted by
+    their counts. The loop performs the step-by-step reference fit's
+    floating-point operations (tests/oracles.py) in the reference's order, so
+    a fit is that fit on the same table bit for bit. It saves only numpy calls
+    and temporaries: hoisted constants and in-place ufuncs into one scratch
+    buffer. ``wald_pvalues`` uses the same design and ``_hessian``.
     """
     support = tuple(support)
     xs = _design(m, support)
@@ -155,41 +153,41 @@ def fit(
     if start is not None and not (np.shape(start) == (k + 1,) and np.isfinite(start).all()):
         raise ValueError(f"start must hold {k + 1} finite numbers: the intercept, then beta")
     ridge = settings.resolve_ridge(n)
-    ridge_eye = ridge * np.eye(k)  # once per fit: per Newton step it cost ~5% of a small fit
-    w = None  # per-row fit: no weights enter the arithmetic
+    w = 1.0  # a row is a cell of weight 1
     if n >= PATTERN_MIN_ROWS and 2 << k <= n:  # a table of every possible cell is <= n long
         bits = np.arange(1, k + 1)  # row code sum_j x_j * 2^(j+1) + y
         counts = np.bincount((xs @ 2.0**bits + y).astype(np.int64), minlength=2 << k)
         cells = np.flatnonzero(counts)
         if 2 * cells.size <= n:
             w = counts[cells].astype(float)
-            xs = ((cells[:, None] >> bits) & 1).astype(float)
+            xs = (cells[:, None] >> bits) & 1
             y = (cells & 1).astype(float)
+    xa = _augmented(xs)
+    del xs  # only [1 | X] stays alive during the loop
+    penalty = np.array([0.0] + [ridge] * k)  # the intercept is unpenalized
+    penalty_diag = np.diag(penalty)  # once per fit: per Newton step it cost ~5% of a small fit
     half_ridge = 0.5 * ridge
     tolerance, max_iterations = TOLERANCE, MAX_ITERATIONS
     scratch = np.empty(y.size)
 
     def evaluate(t):
         """eta, z = exp(-|eta|) and the objective at t."""
-        eta = xs @ t[1:]
-        eta += t[0]
+        eta = xa @ t
         z = np.copysign(eta, -1.0)  # -|eta| in one call
         np.exp(z, out=z)
-        # (log1p(z) + max(eta, 0)) - y*eta, then times w on cells
+        # ((log1p(z) + max(eta, 0)) - y*eta) * w
         terms = np.log1p(z)
         terms += np.maximum(eta, 0.0, out=scratch)
         terms -= np.multiply(y, eta, out=scratch)
-        if w is not None:
-            terms *= w
+        terms *= w
         return eta, z, float(terms.sum()) + half_ridge * float(t[1:] @ t[1:])
 
     def probability_and_gradient(t, eta, z):
         p = np.where(eta >= 0.0, 1.0, z)
         p /= np.add(z, 1.0, out=scratch)
         resid = np.subtract(p, y, out=scratch)
-        if w is not None:
-            resid *= w
-        return p, _gradient(xs, resid, ridge, t[1:])
+        resid *= w
+        return p, xa.T @ resid + penalty * t
 
     # Every quantity below belongs to the accepted theta and is computed once.
     theta = np.zeros(k + 1) if start is None else np.array(start, dtype=float)
@@ -201,11 +199,10 @@ def fit(
         if gmax <= tolerance:
             iterations -= 1
             break
-        hw = np.subtract(1.0, p, out=scratch)  # Hessian weights p(1 - p), times w on cells
+        hw = np.subtract(1.0, p, out=scratch)  # Hessian weights p(1 - p) * w
         hw *= p
-        if w is not None:
-            hw *= w
-        h = _hessian(xs, hw, ridge_eye)
+        hw *= w
+        h = _hessian(xa, hw, penalty_diag)
         try:
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
@@ -229,8 +226,6 @@ def fit(
             scale *= 0.5
         if not improved:
             break
-    else:
-        iterations = max_iterations
 
     gmax = float(abs(g).max())
     # With ridge = 0 and every row (or cell) classified with positive margin,
@@ -288,14 +283,13 @@ def wald_pvalues(model: LogisticModel, m: FeatureMatrix) -> dict[str, float]:
         warnings.warn(
             "Wald p-values are approximate when ridge > 0", stacklevel=2
         )
-    xs = _design(m, model.support)
+    xa = _augmented(_design(m, model.support))
     names = ["intercept"] + [m.columns[j] for j in model.support]
     p = predict_proba(model, m)
-    info = _hessian(xs, p * (1.0 - p), model.ridge * np.eye(len(model.support)))
+    info = _hessian(xa, p * (1.0 - p), np.diag([0.0] + [model.ridge] * len(model.support)))
     eigvals = np.linalg.eigvalsh(info)
     if eigvals[0] <= 1e-10 * max(eigvals[-1], 1.0):
-        design = np.column_stack([np.ones(m.n), xs])
-        raise CollinearityError(_dependent_columns(design, names) or names)
+        raise CollinearityError(_dependent_columns(xa, names) or names)
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     theta = np.concatenate([[model.intercept], model.beta])

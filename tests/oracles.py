@@ -6,7 +6,6 @@ and never calls the code path it verifies.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -140,8 +139,9 @@ def _masked_sigmoid(eta):
     return out
 
 
-def _nll_terms(eta, y):
-    return float(np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta))
+def _nll_terms(eta, y, weights=1.0):
+    terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta
+    return float(np.sum(terms * weights))
 
 
 def nll(model, m) -> float:
@@ -158,52 +158,52 @@ def gradient(model, m) -> np.ndarray:
     return np.concatenate([[resid.sum()], xs.T @ resid + model.ridge * model.beta])
 
 
-def reference_newton_fit(m, support, ridge, *, tolerance=1e-8, max_iterations=100):
+def reference_newton_fit(m, support, ridge, *, weights=None, tolerance=1e-8,
+                         max_iterations=100):
     """The damped Newton fit written out step by step: a masked sigmoid, and
     the sigmoid and gradient recomputed wherever a step needs them (before
     the Hessian, in the line search and for the final diagnostics).
 
-    ridge of None means 1/n. The stopping rule's defaults are written here,
+    The design is [1 | X], the intercept as column 0, built in C order (a
+    BLAS product can round differently by layout). Each row of ``m`` has
+    weight 1 unless ``weights`` gives one per row: a table of (pattern,
+    struck) cells weighted by their counts. ridge of None means 1/n, n the
+    rows of ``m``; a caller that passes a cell table resolves the ridge on
+    the rows the cells count. The stopping rule's defaults are written here,
     not read from logreg, so that the oracle does not depend on the code it
     checks; a test that caps logreg's fit passes the same cap. Returns
     (theta, final_nll, iterations, converged, max_abs_gradient); logreg.fit
-    must reproduce every one bit for bit.
+    on the same table must reproduce every one bit for bit.
     """
     support = tuple(support)
-    xs = m.x[:, support]
+    n, k = m.n, len(support)
+    xa = np.empty((n, k + 1))
+    xa[:, 0] = 1.0
+    xa[:, 1:] = m.x[:, support]
     y = m.y.astype(float)
-    n, k = xs.shape
+    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     ridge = 1.0 / n if ridge is None else ridge
+    penalty = np.array([0.0] + [ridge] * k)
 
     theta = np.zeros(k + 1)
 
     def objective(t):
-        eta = t[0] + xs @ t[1:]
-        return _nll_terms(eta, y) + 0.5 * ridge * float(t[1:] @ t[1:])
+        return _nll_terms(xa @ t, y, weights) + 0.5 * ridge * float(t[1:] @ t[1:])
 
     def grad_at(t):
-        resid = _masked_sigmoid(t[0] + xs @ t[1:]) - y
-        g = np.empty(k + 1)
-        g[0] = resid.sum()
-        g[1:] = xs.T @ resid + ridge * t[1:]
-        return g
+        resid = (_masked_sigmoid(xa @ t) - y) * weights
+        return xa.T @ resid + penalty * t
 
     current = objective(theta)
     iterations = 0
-    gmax = math.inf
     for iterations in range(1, max_iterations + 1):
-        eta = theta[0] + xs @ theta[1:]
-        p = _masked_sigmoid(eta)
+        p = _masked_sigmoid(xa @ theta)
         g = grad_at(theta)
         gmax = float(np.max(np.abs(g)))
         if gmax <= tolerance:
             iterations -= 1
             break
-        w = p * (1.0 - p)
-        h = np.empty((k + 1, k + 1))
-        h[0, 0] = w.sum()
-        h[0, 1:] = h[1:, 0] = xs.T @ w
-        h[1:, 1:] = (xs * w[:, None]).T @ xs + ridge * np.eye(k)
+        h = (xa * (p * (1.0 - p) * weights)[:, None]).T @ xa + np.diag(penalty)
         try:
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
@@ -227,15 +227,9 @@ def reference_newton_fit(m, support, ridge, *, tolerance=1e-8, max_iterations=10
             scale *= 0.5
         if not improved:
             break
-    else:
-        iterations = max_iterations
 
-    eta = theta[0] + xs @ theta[1:]
-    resid = _masked_sigmoid(eta) - y
-    g = np.empty(k + 1)
-    g[0] = resid.sum()
-    g[1:] = xs.T @ resid + ridge * theta[1:]
-    gmax = float(np.max(np.abs(g)))
+    eta = xa @ theta
+    gmax = float(np.max(np.abs(grad_at(theta))))
     separated = ridge == 0.0 and bool(np.all((2.0 * y - 1.0) * eta > 0.0))
     converged = gmax <= tolerance and not separated
     return theta, current, iterations, converged, gmax

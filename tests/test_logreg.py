@@ -263,15 +263,59 @@ def theta_of(model):
     return np.concatenate([[model.intercept], model.beta])
 
 
+def cell_table(m, support):
+    """The (pattern, struck) table that fit runs Newton on for ``support``,
+    built as its gate builds it: from PATTERN_MIN_ROWS rows up, when the
+    2^(k+1) possible cells number at most n and the occupied ones at most
+    n/2. Returns (the cells as a matrix over their k columns, their counts)
+    in ascending order of the row code sum_j x_j 2^(j+1) + y, or None where
+    the fit takes rows. The codes are summed in integers."""
+    k = len(support)
+    if m.n < logreg.PATTERN_MIN_ROWS or 2 << k > m.n:
+        return None
+    bits = np.arange(1, k + 1)
+    codes = (m.x[:, support].astype(np.int64) << bits).sum(axis=1) + m.y
+    cells, counts = np.unique(codes, return_counts=True)
+    if 2 * cells.size > m.n:
+        return None
+    columns = tuple(f"c{j}" for j in range(k))
+    return FeatureMatrix(x=(cells[:, None] >> bits) & 1, columns=columns, y=cells & 1), counts
+
+
+def reference_fit(m, support, ridge, **cap):
+    """reference_newton_fit on the table that fit runs on: the cells of
+    cell_table weighted by their counts, or else the rows. The ridge
+    resolves on the row count either way."""
+    ridge = 1.0 / m.n if ridge is None else ridge
+    table = cell_table(m, tuple(support))
+    if table is None:
+        return reference_newton_fit(m, support, ridge, **cap)
+    cells, counts = table
+    return reference_newton_fit(cells, range(cells.p), ridge, weights=counts, **cap)
+
+
+def assert_is_reference(model, reference, case=None):
+    """model is the reference fit bit for bit: theta, final_nll, iterations,
+    converged and max_abs_gradient."""
+    theta, final, iters, converged, gmax = reference
+    d = model.diagnostics
+    assert theta_of(model).tobytes() == theta.tobytes(), case
+    assert (d.final_nll, d.iterations, d.converged, d.max_abs_gradient) == (
+        final, iters, converged, gmax), case
+
+
 class TestPatternFit:
     def test_matches_reference_newton_on_rows(self, monkeypatch):
         # 66 instances: k = 0..10 x ridge x separable labels, each on the cells.
-        # At the default tolerance ~1% of separable ridge > 0 fits reach the
-        # objective's rounding floor before the gradient tolerance, and from
-        # there the line search accepts or rejects on the last bits, so two
-        # differently rounded fits may take different iteration counts. There
-        # the objective and the verdict must agree; theta and the iteration
-        # count must agree at tolerance 1e-6, above that floor.
+        # Each fit is the reference on its weighted cell table bit for bit.
+        # At the default tolerance some separable ridge > 0 fits reach the
+        # objective's rounding floor before the gradient tolerance (8 of 100
+        # random ones at ridge 1/n, none of 100 at 0.5; here case 9 ends at
+        # the iteration cap, unconverged), and from there the line search accepts
+        # or rejects on the last bits, so two differently rounded fits may
+        # take different iteration counts. There the objective and the
+        # verdict must agree; theta and the iteration count must agree at
+        # tolerance 1e-6, above that floor.
         for case, (k, ridge, separable) in enumerate(
                 itertools.product(range(11), (0.0, None, 0.5), (False, True))):
             m = pattern_matrix(case, separable)
@@ -280,6 +324,9 @@ class TestPatternFit:
             for tolerance, above_floor in ((1e-8, False), (1e-6, True)):
                 monkeypatch.setattr(logreg, "TOLERANCE", tolerance)
                 model = fit(m, support, FitSettings(ridge=ridge))
+                assert cell_table(m, support) is not None, case
+                assert_is_reference(model, reference_fit(m, support, ridge, tolerance=tolerance),
+                                    case)
                 theta, final, iters, converged, _ = reference_newton_fit(
                     m, support, ridge, tolerance=tolerance)
                 d = model.diagnostics
@@ -376,6 +423,8 @@ class TestOccupiedCells:
             support = tuple(range(12))
             assert 4 << len(support) > m.n >= 2 << len(support)
             model = fit(m, support)
+            assert cell_table(m, support) is not None, seed
+            assert_is_reference(model, reference_fit(m, support, None), seed)
             _, final, iters, converged, _ = reference_newton_fit(m, support, None)
             d = model.diagnostics
             assert d.converged and converged
@@ -404,7 +453,8 @@ class TestShortFits:
     reference bit for bit. Cell fits take the same first step bit for bit
     (at zeros every Hessian and gradient entry is a sum of quarters or
     halves, exact in either order), but their objective and gradient sum
-    over cells and match the row sums to rounding."""
+    over cells and match the row sums to rounding. Every fit is the
+    reference on its own table, rows or weighted cells, bit for bit."""
 
     @pytest.mark.parametrize("cap", [
         {"tolerance": 1e6}, {"max_iterations": 1},
@@ -424,6 +474,17 @@ class TestShortFits:
                 assert abs(d.max_abs_gradient - gmax) <= 1e-12 * max(1.0, gmax)
             else:
                 assert (d.final_nll, d.max_abs_gradient) == (final, gmax)
+
+    @pytest.mark.parametrize("cap", [
+        {"tolerance": 1e6}, {"max_iterations": 1},
+    ], ids=["zero-iterations", "one-iteration"])
+    def test_match_reference_newton_on_their_table(self, monkeypatch, cap):
+        for name, value in cap.items():
+            monkeypatch.setattr(logreg, name.upper(), value)
+        for m, support, ridge, cells in short_fit_cases():
+            assert (cell_table(m, support) is not None) == cells
+            model = fit(m, support, FitSettings(ridge=ridge))
+            assert_is_reference(model, reference_fit(m, support, ridge, **cap))
 
     def test_cell_objective_at_zeros(self, monkeypatch):
         # At zeros the cell objective is the count-weighted sum of
