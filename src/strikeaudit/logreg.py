@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityError, finite_real
+from .errors import CollinearityError, finite_real, whole
 from .dataset import FeatureMatrix
 
 # The Newton fit's stopping rule, the same for every caller: branch-and-bound
@@ -101,9 +101,15 @@ def _augmented(xs: np.ndarray) -> np.ndarray:
 
 
 def _design(m: FeatureMatrix, support: tuple) -> np.ndarray:
+    columns, seen = m.p, set()
     for j in support:
-        if not 0 <= j < m.p:
-            raise ValueError(f"support index {j} out of range for {m.p} columns")
+        if type(j) is not int and not whole(j, 0):  # an int needs no slow ABC check
+            raise ValueError(f"support index {j!r} is not a column index")
+        if not 0 <= j < columns:
+            raise ValueError(f"support index {j} out of range for {columns} columns")
+        if j in seen:
+            raise ValueError(f"support index {j} is repeated")
+        seen.add(j)
     return m.x[:, support]
 
 
@@ -145,6 +151,12 @@ def fit(
     a fit is that fit on the same table bit for bit. It saves only numpy calls
     and temporaries: hoisted constants and in-place ufuncs into one scratch
     buffer. ``wald_pvalues`` uses the same design and ``_hessian``.
+
+    A row or cell scores softplus of its signed margin, log1p(exp(-|eta|)) +
+    max((1 - 2y) eta, 0), which has none of the cancellation of max(eta, 0) -
+    y eta, so the objective is accurate to a few ulp of itself. The line
+    search therefore has one rule: take the first halving of the Newton step
+    whose objective is at most 8 ulp above the current one, else stop.
     """
     support = tuple(support)
     xs = _design(m, support)
@@ -168,6 +180,7 @@ def fit(
     penalty_diag = np.diag(penalty)  # once per fit: per Newton step it cost ~5% of a small fit
     half_ridge = 0.5 * ridge
     tolerance, max_iterations = TOLERANCE, MAX_ITERATIONS
+    flip = 1.0 - 2.0 * y  # the margin's sign: a struck row scores -eta
     scratch = np.empty(y.size)
 
     def evaluate(t):
@@ -175,10 +188,10 @@ def fit(
         eta = xa @ t
         z = np.copysign(eta, -1.0)  # -|eta| in one call
         np.exp(z, out=z)
-        # ((log1p(z) + max(eta, 0)) - y*eta) * w
+        # (log1p(z) + max(flip*eta, 0)) * w: softplus of the signed margin
         terms = np.log1p(z)
-        terms += np.maximum(eta, 0.0, out=scratch)
-        terms -= np.multiply(y, eta, out=scratch)
+        margin = np.multiply(flip, eta, out=scratch)
+        terms += np.maximum(margin, 0.0, out=scratch)
         terms *= w
         return eta, z, float(terms.sum()) + half_ridge * float(t[1:] @ t[1:])
 
@@ -195,8 +208,7 @@ def fit(
     p, g = probability_and_gradient(theta, eta, z)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        gmax = abs(g).max()
-        if gmax <= tolerance:
+        if abs(g).max() <= tolerance:
             iterations -= 1
             break
         hw = np.subtract(1.0, p, out=scratch)  # Hessian weights p(1 - p) * w
@@ -207,31 +219,26 @@ def fit(
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(h, g, rcond=None)[0]
-        # Step-halving line search on the objective. Near the optimum the
-        # remaining descent is below double precision, so a step whose value
-        # is flat to a few ulp is still accepted when it strictly shrinks the
-        # gradient (that rule cannot cycle).
-        scale = 1.0
-        improved = False
+        # Step-halving line search. The objective is accurate to a few ulp of
+        # itself, so near the optimum, where the remaining descent is below
+        # double precision, a step within that slack is no worse.
         slack = _SLACK_ULPS * max(1.0, abs(current))
         for _ in range(60):
-            candidate = theta - step if scale == 1.0 else theta - scale * step
+            candidate = theta - step
             c_eta, c_z, value = evaluate(candidate)
             if value <= current + slack:
-                c_p, c_g = probability_and_gradient(candidate, c_eta, c_z)
-                if value < current or abs(c_g).max() < gmax:
-                    theta, eta, current, p, g = candidate, c_eta, value, c_p, c_g
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
-            break
+                break
+            step *= 0.5  # exact: candidate h is theta - 0.5**h times the Newton step
+        else:
+            break  # no step within the slack
+        theta, eta, current = candidate, c_eta, value
+        p, g = probability_and_gradient(theta, eta, c_z)
 
     gmax = float(abs(g).max())
-    # With ridge = 0 and every row (or cell) classified with positive margin,
+    # With ridge = 0 and every row (or cell) on its label's side (flip * eta < 0),
     # the data is separated by the fitted hyperplane and the optimum sits at
     # infinity; the small gradient is an artifact of the divergence path.
-    separated = ridge == 0.0 and bool(np.all((2.0 * y - 1.0) * eta > 0.0))
+    separated = ridge == 0.0 and bool(np.all(flip * eta < 0.0))
     converged = gmax <= tolerance and not separated
 
     diag = FitDiagnostics(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMetricError, UndefinedTestError
+from .errors import UndefinedMetricError, UndefinedTestError, whole
 
 # Relative slack when comparing hypergeometric point probabilities in the
 # two-sided tail sum; guards float comparison of mathematically equal masses.
@@ -28,8 +28,8 @@ class ContingencyTable:
 
     def __post_init__(self):
         counts = (self.a, self.b, self.c, self.d)
-        if any(v < 0 for v in counts):
-            raise ValueError(f"negative count in contingency table: {counts}")
+        if not all(whole(v, 0) for v in counts):
+            raise ValueError(f"contingency table counts must be whole numbers >= 0: {counts}")
         if sum(counts) < 1:
             raise ValueError("contingency table is all zeros")
 
@@ -86,7 +86,7 @@ def holm_adjust(p_values) -> np.ndarray:
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1:
         raise ValueError("p_values must be one-dimensional")
-    if p.size and (np.min(p) < 0.0 or np.max(p) > 1.0):
+    if p.size and not (np.min(p) >= 0.0 and np.max(p) <= 1.0):  # NaN fails both
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     if m == 0:
@@ -110,6 +110,8 @@ def auc(scores, labels) -> float:
         raise ValueError("scores and labels must be 1-d sequences of equal length")
     if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0/1")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
     y = y.astype(int)
     if y.sum() == 0 or y.sum() == y.size:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")

@@ -140,7 +140,8 @@ def _masked_sigmoid(eta):
 
 
 def _nll_terms(eta, y, weights=1.0):
-    terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta
+    """Softplus of the signed margin (1 - 2y) eta, weighted and summed."""
+    terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum((1.0 - 2.0 * y) * eta, 0.0)
     return float(np.sum(terms * weights))
 
 
@@ -162,7 +163,9 @@ def reference_newton_fit(m, support, ridge, *, weights=None, tolerance=1e-8,
                          max_iterations=100):
     """The damped Newton fit written out step by step: a masked sigmoid, and
     the sigmoid and gradient recomputed wherever a step needs them (before
-    the Hessian, in the line search and for the final diagnostics).
+    the Hessian and for the final diagnostics). The line search takes the
+    first halving of the step whose objective is at most 8 ulp above the
+    current one, and stops the fit when none is.
 
     The design is [1 | X], the intercept as column 0, built in C order (a
     BLAS product can round differently by layout). Each row of ``m`` has
@@ -208,29 +211,19 @@ def reference_newton_fit(m, support, ridge, *, weights=None, tolerance=1e-8,
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(h, g, rcond=None)[0]
-        scale = 1.0
-        improved = False
         slack = 8.0 * np.finfo(float).eps * max(1.0, abs(current))
-        for _ in range(60):
-            candidate = theta - scale * step
+        for halvings in range(60):
+            candidate = theta - 0.5**halvings * step
             value = objective(candidate)
-            if value < current:
+            if value <= current + slack:
                 theta, current = candidate, value
-                improved = True
                 break
-            if value <= current + slack and float(
-                np.max(np.abs(grad_at(candidate)))
-            ) < gmax:
-                theta, current = candidate, value
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
+        else:
             break
 
     eta = xa @ theta
     gmax = float(np.max(np.abs(grad_at(theta))))
-    separated = ridge == 0.0 and bool(np.all((2.0 * y - 1.0) * eta > 0.0))
+    separated = ridge == 0.0 and bool(np.all((1.0 - 2.0 * y) * eta < 0.0))
     converged = gmax <= tolerance and not separated
     return theta, current, iterations, converged, gmax
 

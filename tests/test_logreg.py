@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -246,6 +247,21 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(m, (0, 7))
 
+    @pytest.mark.parametrize("support, message", [
+        ((0, 0), "support index 0 is repeated"),
+        ((1, 2, 1), "support index 1 is repeated"),
+        ((True,), "support index True is not a column index"),
+        ((0, 1.0), "support index 1.0 is not a column index"),
+    ])
+    def test_repeated_or_non_integer_support_rejected(self, support, message):
+        # A repeated column would split its coefficient between two copies,
+        # and a bool would index the columns as a mask.
+        m = random_binary_matrix(8, 30, 3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(m, support)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predict_proba(zero_model(support), m)
+
 
 def pattern_matrix(seed, separable=False):
     """A matrix large enough that every support of up to 10 columns is fit
@@ -307,21 +323,16 @@ def assert_is_reference(model, reference, case=None):
 class TestPatternFit:
     def test_matches_reference_newton_on_rows(self, monkeypatch):
         # 66 instances: k = 0..10 x ridge x separable labels, each on the cells.
-        # Each fit is the reference on its weighted cell table bit for bit.
-        # At the default tolerance some separable ridge > 0 fits reach the
-        # objective's rounding floor before the gradient tolerance (8 of 100
-        # random ones at ridge 1/n, none of 100 at 0.5; here case 9 ends at
-        # the iteration cap, unconverged), and from there the line search accepts
-        # or rejects on the last bits, so two differently rounded fits may
-        # take different iteration counts. There the objective and the
-        # verdict must agree; theta and the iteration count must agree at
-        # tolerance 1e-6, above that floor.
+        # Each fit is the reference on its weighted cell table bit for bit,
+        # and the row reference to rounding: the same objective, verdict and
+        # iteration count, and theta to 1e-12 relative, at the default
+        # tolerance and at 1e-6.
         for case, (k, ridge, separable) in enumerate(
                 itertools.product(range(11), (0.0, None, 0.5), (False, True))):
             m = pattern_matrix(case, separable)
             assert m.n >= logreg.PATTERN_MIN_ROWS and 4 << k <= m.n
             support = tuple(range(k)) if separable else tuple(range(10 - k, 10))
-            for tolerance, above_floor in ((1e-8, False), (1e-6, True)):
+            for tolerance in (1e-8, 1e-6):
                 monkeypatch.setattr(logreg, "TOLERANCE", tolerance)
                 model = fit(m, support, FitSettings(ridge=ridge))
                 assert cell_table(m, support) is not None, case
@@ -331,11 +342,9 @@ class TestPatternFit:
                     m, support, ridge, tolerance=tolerance)
                 d = model.diagnostics
                 assert abs(d.final_nll - final) <= 1e-12 * abs(final), case
-                assert d.converged == converged, case
-                if above_floor:
-                    scale = max(1.0, float(np.max(np.abs(theta))))
-                    assert np.max(np.abs(theta_of(model) - theta)) <= 1e-12 * scale, case
-                    assert d.iterations == iters, case
+                assert (d.converged, d.iterations) == (converged, iters), case
+                scale = max(1.0, float(np.max(np.abs(theta))))
+                assert np.max(np.abs(theta_of(model) - theta)) <= 1e-12 * scale, case
 
     def test_row_permutation_gives_bitwise_identical_fit(self):
         for seed, support in enumerate([(), (0,), (1, 4, 6), tuple(range(9))]):
@@ -344,6 +353,26 @@ class TestPatternFit:
             a, b = fit(m, support), fit(shuffled, support)
             assert theta_of(a).tobytes() == theta_of(b).tobytes()
             assert a.diagnostics == b.diagnostics
+
+    def test_separable_fit_with_ridge_converges(self):
+        # The fit that used to stall at the objective's rounding floor: a
+        # line search that met noise of ulp(|eta|) per row took flat steps
+        # until the 100-iteration cap, at max |g| 1.9e-8.
+        m = pattern_matrix(9, separable=True)
+        d = fit(m, (0,)).diagnostics
+        assert d.converged and d.max_abs_gradient <= logreg.TOLERANCE
+        assert d.iterations <= 20
+
+    def test_separable_fits_with_ridge_converge_promptly(self):
+        # 200 separable matrices, supports of 0-10 columns holding the
+        # label column, ridge 1/n and 0.5 alternately: every fit converges
+        # within 20 Newton iterations.
+        for seed in range(1000, 1200):
+            m = pattern_matrix(seed, separable=True)
+            k = int(np.random.default_rng(seed).integers(0, 11))
+            ridge = None if seed % 2 == 0 else 0.5
+            d = fit(m, tuple(range(k)), FitSettings(ridge=ridge)).diagnostics
+            assert d.converged and d.iterations <= 20, (seed, k, ridge, d)
 
     def test_separable_ridge_zero_unconverged_without_warning(self):
         m = pattern_matrix(200, separable=True)
@@ -488,7 +517,7 @@ class TestShortFits:
 
     def test_cell_objective_at_zeros(self, monkeypatch):
         # At zeros the cell objective is the count-weighted sum of
-        # log1p(exp(-|0|)) + max(0, 0) - y * 0, evaluated here term by term.
+        # log1p(exp(-|0|)) + max((1 - 2y) * 0, 0), evaluated here term by term.
         monkeypatch.setattr(logreg, "TOLERANCE", 1e6)  # the fit stops at zeros
         for m, support, ridge, cells in short_fit_cases():
             if not cells:
@@ -497,7 +526,7 @@ class TestShortFits:
             codes = m.x[:, support] @ 2.0 ** np.arange(1, len(support) + 1) + m.y
             cell, counts = np.unique(codes.astype(np.int64), return_counts=True)
             eta, y = np.zeros(cell.size), (cell & 1).astype(float)
-            terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta
+            terms = np.log1p(np.exp(-np.abs(eta))) + np.maximum((1.0 - 2.0 * y) * eta, 0.0)
             assert d.final_nll == float(np.sum(counts.astype(float) * terms))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,11 @@ class TestFisherExact:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             ContingencyTable(-1, 2, 3, 4)
+
+    @pytest.mark.parametrize("counts", [(2.0, 3, 4, 5), (2, 3, True, 5), (2, 3, 4, "5")])
+    def test_non_whole_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ContingencyTable(*counts)
 
     def test_matches_rational_oracle_sampled(self):
         rng = np.random.default_rng(42)
@@ -76,6 +83,10 @@ class TestHolm:
         with pytest.raises(ValueError):
             holm_adjust([-0.1])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            holm_adjust([math.nan, 0.01])
+
     def test_empty_input(self):
         assert holm_adjust([]).size == 0
 
@@ -112,6 +123,11 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             auc([0.1, 0.2], [1, 1])
+
+    def test_nan_score_rejected(self):
+        # argsort would rank the NaN above every score
+        with pytest.raises(ValueError, match="NaN"):
+            auc([0.1, math.nan, 0.3, 0.2], [0, 1, 1, 0])
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(3)
