@@ -36,21 +36,24 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
     """One finding document per leaf: its black vs non-black strike counts
     and rates, Fisher p-value, and Holm-adjusted p-value over the testable
     leaves. Leaves with a degenerate margin are skipped and excluded from
-    the Holm family.
+    the Holm family. A leaf is significant when its adjusted p-value is
+    below ``alpha_level``, a number in (0, 1).
     """
+    if not (finite_real(alpha_level) and 0 < alpha_level < 1):
+        raise ValueError(f"alpha_level must be a number in (0, 1), got {alpha_level!r}")
     if any(c in RACE_FEATURE_NAMES for c in tree.columns):
         raise StrikeAuditError("disparity testing requires a race-free tree")
     x, is_black, struck, _ = answer_matrix(table, tree.columns)
-    routed = tree_mod.predict_leaves(tree, x)
+    # counts[node, is_black, struck]: every leaf's 2x2 table from one pass.
+    cells = 4 * tree_mod.predict_leaves(tree, x) + 2 * is_black + struck
+    counts = np.bincount(cells, minlength=4 * len(tree.nodes)).reshape(-1, 2, 2).tolist()
     findings: list[dict] = []
     testable: list[int] = []
     raw: list[float] = []
     for leaf_id in tree.leaf_ids():
-        here = routed == leaf_id
-        n_black = int(np.count_nonzero(here & is_black))
-        n_nonblack = int(np.count_nonzero(here & ~is_black))
-        struck_black = int(np.count_nonzero(here & is_black & struck))
-        struck_nonblack = int(np.count_nonzero(here & ~is_black & struck))
+        (kept_nonblack, struck_nonblack), (kept_black, struck_black) = counts[leaf_id]
+        n_black = kept_black + struck_black
+        n_nonblack = kept_nonblack + struck_nonblack
         finding = dict(
             leaf=leaf_id,
             path=tree_mod.describe_path(tree, leaf_id),
@@ -70,12 +73,7 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
             if n_black + n_nonblack == 0:
                 raise UndefinedTestError("empty leaf")
             p = fisher_exact(
-                ContingencyTable(
-                    a=struck_black,
-                    b=n_black - struck_black,
-                    c=struck_nonblack,
-                    d=n_nonblack - struck_nonblack,
-                )
+                ContingencyTable(a=struck_black, b=kept_black, c=struck_nonblack, d=kept_nonblack)
             )
         except UndefinedTestError:
             finding.update(skipped=True, reason="degenerate margin")

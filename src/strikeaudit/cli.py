@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import audit as audit_mod
@@ -18,21 +18,12 @@ from .errors import StrikeAuditError, reading_document
 USAGE_EXIT = 1
 DATA_EXIT = 2
 
-# AuditConfig's defaults by field name; each setting flag's dest is one of them.
-_DEFAULTS = {
-    f.name: f.default for f in fields(audit_mod.AuditConfig) if f.default is not MISSING
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return USAGE_EXIT
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def _load_catalog(path) -> tuple[str, ...]:
@@ -47,57 +38,58 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _setting(sub, flag: str, help: str, dest: str | None = None, **kwargs) -> None:
-    """A flag that sets the AuditConfig field ``dest`` (by default the flag's
-    own name). Without a default, args holds only the flags given on the
-    command line, so _config can layer them over a config file."""
-    dest = dest or flag[2:].replace("-", "_")
-    default = _DEFAULTS[dest]
-    if default is not None:
-        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
-        help = f"{help} (default {shown})"
-    sub.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=help, **kwargs)
+# The flag of each AuditConfig field that one sets, in --help order: its
+# option, help and argparse keywords. The field is the flag's dest, and its
+# default is AuditConfig's.
+_SETTINGS = {
+    "missing_policy": ("--missing-policy", "how to encode missing voir dire answers",
+                       dict(choices=dataset.MISSING_POLICIES)),
+    "seed": ("--seed", "random seed", dict(type=int)),
+    "train_fraction": ("--train-fraction", "training share of the stratified split",
+                       dict(type=float)),
+    "k_max": ("--k-max", "largest subset size to consider", dict(type=int)),
+    "folds": ("--folds", "cross-validation folds", dict(type=int)),
+    "ridge": ("--ridge", "ridge strength; default 1/n", dict(type=float)),
+    "node_budget": ("--budget", "branch-and-bound node budget",
+                    dict(type=int, metavar="BUDGET")),
+    "max_depth": ("--max-depth", "tree depth cap", dict(type=int)),
+    "min_leaf": ("--min-leaf", "minimum rows per leaf", dict(type=int)),
+    "alpha_grid": ("--alpha-grid", "comma-separated complexity penalties to tune over",
+                   dict(type=_floats)),
+    "alpha_level": ("--alpha-level", "significance level for Holm-adjusted p-values",
+                    dict(type=float)),
+}
+# The settings of ofs and ablate: the stratified split and the subset search.
+_SEARCH = ("missing_policy", "seed", "train_fraction", "k_max", "folds", "ridge", "node_budget")
 
 
-def _add_io(sub):
+def _stage_command(commands, name: str, help: str, func, *flags) -> None:
+    """Add the stage subcommand ``name``: --input, --catalog and --out, then
+    ``flags`` in order. A field name adds that field's setting flag, and an
+    (option, keywords) pair a flag of the command's own. A setting flag has
+    no default, so args holds only the settings given on the command line,
+    and _config can layer them over a config file."""
+    sub = commands.add_parser(name, help=help)
     sub.add_argument("--input", required=True, help="juror CSV file")
     sub.add_argument("--catalog", required=True, help="JSON array of feature names")
     sub.add_argument("--out", default="out", help="output directory (default out/)")
-
-
-def _add_matrix(sub):
-    """The flags of _matrix: the input and how its answers are encoded."""
-    _add_io(sub)
-    _setting(sub, "--missing-policy", "how to encode missing voir dire answers",
-             choices=dataset.MISSING_POLICIES)
-
-
-def _add_common(sub):
-    _add_matrix(sub)
-    _setting(sub, "--seed", "random seed", type=int)
-
-
-def _add_ofs_flags(sub):
-    _setting(sub, "--train-fraction", "training share of the stratified split", type=float)
-    _setting(sub, "--k-max", "largest subset size to consider", type=int)
-    _setting(sub, "--folds", "cross-validation folds", type=int)
-    _setting(sub, "--ridge", "ridge strength; default 1/n", type=float)
-    _setting(sub, "--budget", "branch-and-bound node budget", dest="node_budget", type=int,
-             metavar="BUDGET")
-
-
-def _add_tree_flags(sub):
-    _setting(sub, "--max-depth", "tree depth cap", type=int)
-    _setting(sub, "--min-leaf", "minimum rows per leaf", type=int)
-    _setting(sub, "--alpha-grid", "comma-separated complexity penalties to tune over",
-             type=_floats)
+    for flag in flags:
+        if isinstance(flag, str):
+            option, text, kwargs = _SETTINGS[flag]
+            default = getattr(audit_mod.AuditConfig, flag)  # the field's default
+            if default is not None:
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+                text = f"{text} (default {shown})"
+            flag = option, dict(kwargs, dest=flag, default=argparse.SUPPRESS, help=text)
+        sub.add_argument(flag[0], **flag[1])
+    sub.set_defaults(func=func)
 
 
 def _config(args, settings=None) -> audit_mod.AuditConfig:
     """The settings of a command: the flags given on the command line, over
     ``settings`` (a config file's object), over AuditConfig's defaults.
     AuditConfig checks every value, so a bad one is a data error."""
-    given = {name: value for name, value in vars(args).items() if name in _DEFAULTS}
+    given = {name: value for name, value in vars(args).items() if name in _SETTINGS}
     return audit_mod.AuditConfig.from_json({
         **(settings or {}),
         **given,
@@ -263,46 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the feature catalog as a JSON array")
     synth.set_defaults(func=_cmd_synth)
 
-    ofs = commands.add_parser("ofs", help="subset-size study with CV and importance profile")
-    _add_common(ofs)
-    _add_ofs_flags(ofs)
-    ofs.set_defaults(func=_cmd_ofs)
-
-    stepwise = commands.add_parser("stepwise", help="backward stepwise baseline")
-    _add_matrix(stepwise)
-    stepwise.add_argument("--thresholds", type=_floats, default=(0.1, 0.05),
-                          help="p-value thresholds per pass (default 0.1,0.05)")
-    stepwise.set_defaults(func=_cmd_stepwise)
-
-    tree_cmd = commands.add_parser(
-        "tree", help="fit the segmentation tree (race excluded) on the training split")
-    _add_common(tree_cmd)
-    _setting(tree_cmd, "--train-fraction", "training share of the stratified split", type=float)
-    _add_tree_flags(tree_cmd)
-    _setting(tree_cmd, "--folds", "cross-validation folds for alpha tuning", type=int)
-    tree_cmd.set_defaults(func=_cmd_tree)
-
-    disparity = commands.add_parser("disparity", help="per-leaf disparity tests for a saved tree")
-    _add_io(disparity)
-    disparity.add_argument("--tree", required=True, help="tree.json from the tree subcommand")
-    _setting(disparity, "--alpha-level", "significance level for Holm-adjusted p-values",
-             type=float)
-    disparity.set_defaults(func=_cmd_disparity)
-
-    ablate = commands.add_parser("ablate", help="test AUC with and without race features")
-    _add_common(ablate)
-    _add_ofs_flags(ablate)
-    ablate.set_defaults(func=_cmd_ablate)
-
-    audit_cmd = commands.add_parser("audit", help="run the full audit pipeline")
-    _add_common(audit_cmd)
-    _add_ofs_flags(audit_cmd)
-    _add_tree_flags(audit_cmd)
-    _setting(audit_cmd, "--alpha-level", "significance level for Holm-adjusted p-values",
-             type=float)
-    audit_cmd.add_argument("--config", default=None,
-                           help="JSON config; flags take precedence")
-    audit_cmd.set_defaults(func=_cmd_audit)
+    _stage_command(commands, "ofs", "subset-size study with CV and importance profile",
+                   _cmd_ofs, *_SEARCH)
+    _stage_command(commands, "stepwise", "backward stepwise baseline", _cmd_stepwise,
+                   "missing_policy",
+                   ("--thresholds", dict(type=_floats, default=(0.1, 0.05),
+                                         help="p-value thresholds per pass (default 0.1,0.05)")))
+    _stage_command(commands, "tree",
+                   "fit the segmentation tree (race excluded) on the training split", _cmd_tree,
+                   "missing_policy", "seed", "train_fraction", "max_depth", "min_leaf",
+                   "alpha_grid", "folds")
+    _stage_command(commands, "disparity", "per-leaf disparity tests for a saved tree",
+                   _cmd_disparity,
+                   ("--tree", dict(required=True, help="tree.json from the tree subcommand")),
+                   "alpha_level")
+    _stage_command(commands, "ablate", "test AUC with and without race features", _cmd_ablate,
+                   *_SEARCH)
+    _stage_command(commands, "audit", "run the full audit pipeline", _cmd_audit, *_SETTINGS,
+                   ("--config", dict(default=None, help="JSON config; flags take precedence")))
 
     report = commands.add_parser("report", help="render a report.json to tables and CSVs")
     report.add_argument("--report", required=True, help="path to report.json")

@@ -33,16 +33,6 @@ class ContingencyTable:
         if sum(counts) < 1:
             raise ValueError("contingency table is all zeros")
 
-    @property
-    def total(self) -> int:
-        return self.a + self.b + self.c + self.d
-
-    def row_sums(self) -> tuple[int, int]:
-        return (self.a + self.b, self.c + self.d)
-
-    def col_sums(self) -> tuple[int, int]:
-        return (self.a + self.c, self.b + self.d)
-
 
 def fisher_exact(t: ContingencyTable) -> float:
     """Two-sided Fisher exact p-value for a 2x2 table.
@@ -53,13 +43,12 @@ def fisher_exact(t: ContingencyTable) -> float:
 
     Raises UndefinedTestError when a row or column margin is empty.
     """
-    r1, r2 = t.row_sums()
-    c1, c2 = t.col_sums()
+    r1, r2, c1, c2 = t.a + t.b, t.c + t.d, t.a + t.c, t.b + t.d
     if min(r1, r2, c1, c2) == 0:
         raise UndefinedTestError(
             f"degenerate margin in table ({t.a}, {t.b}, {t.c}, {t.d})"
         )
-    n = t.total
+    n = r1 + r2
     lf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])  # lf[i] = log(i!)
     # log P(X = x) for x = count in the (black, struck) cell, margins fixed.
     lo = max(0, c1 - r2)
@@ -102,7 +91,10 @@ def holm_adjust(p_values) -> np.ndarray:
 def auc(scores, labels) -> float:
     """Tie-aware AUC: P(score_pos > score_neg) + 0.5 * P(score_pos = score_neg).
 
-    Computed as the Mann-Whitney statistic via sorting and midranks.
+    Computed as the Mann-Whitney statistic from each positive's placement
+    among the sorted negatives: the negatives below it plus those at or
+    below it count twice its wins, a tie as half a win. That sum is an
+    exact integer, so the one division rounds the exact quotient.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
@@ -112,18 +104,9 @@ def auc(scores, labels) -> float:
         raise ValueError("labels must be 0/1")
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
-    y = y.astype(int)
-    if y.sum() == 0 or y.sum() == y.size:
+    pos, neg = s[y == 1], np.sort(s[y == 0])
+    if not (pos.size and neg.size):
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    n = s.size
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(n)
-    # Midranks: average 1-based rank within each tie group.
-    boundaries = np.flatnonzero(np.diff(s[order])) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
-    n_pos = int(y.sum())
-    n_neg = n - n_pos
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    below = np.searchsorted(neg, pos, side="left").sum()
+    upto = np.searchsorted(neg, pos, side="right").sum()
+    return float(below + upto) / (2 * pos.size * neg.size)

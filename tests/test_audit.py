@@ -151,6 +151,12 @@ class TestLeafDisparity:
         for f in findings:
             assert json.loads(json.dumps(f)) == f
 
+    @pytest.mark.parametrize("alpha_level", [2.0, 1.0, 0.0, -1.0, math.nan, math.inf, True])
+    def test_alpha_level_outside_unit_interval_rejected(self, alpha_level):
+        # 2.0 would flag every testable leaf and NaN or -1.0 none.
+        with pytest.raises(ValueError, match="alpha_level"):
+            leaf_disparity(paper_tree(), five_leaf_table(), alpha_level=alpha_level)
+
     def test_csv_rendering(self):
         table = five_leaf_table()
         findings = leaf_disparity(paper_tree(), table)

@@ -8,7 +8,9 @@ from strikeaudit.errors import UndefinedMetricError, UndefinedTestError
 from strikeaudit.stats import ContingencyTable, auc, fisher_exact, holm_adjust
 
 from conftest import fresh_python
-from oracles import auc_pairwise, fisher_two_sided_exact, holm_by_hand, roc_points
+from oracles import (
+    auc_pairwise, auc_pairwise_outer, fisher_two_sided_exact, holm_by_hand, roc_points,
+)
 
 
 class TestFisherExact:
@@ -140,6 +142,22 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 auc_pairwise(scores, labels), abs=1e-12
             )
+
+    def test_bit_equal_to_pairwise_count(self):
+        # Twice the pairwise wins is an exact integer on both sides, so the
+        # one division must give the same bits, ties or not.
+        rng = np.random.default_rng(4)
+        for i in range(500):
+            n = int(rng.integers(2, 300))
+            scores = rng.integers(0, 5, size=n) / 7.0 if i % 2 else rng.random(n)
+            labels = rng.integers(0, 2, size=n)
+            if labels.sum() in (0, n):
+                continue
+            assert auc(scores, labels) == auc_pairwise_outer(scores, labels)
+
+    def test_tied_infinite_scores_tie(self):
+        assert auc([math.inf, math.inf], [0, 1]) == 0.5
+        assert auc([-math.inf, -math.inf, 0.0], [1, 0, 1]) == 0.75
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(5)
