@@ -9,8 +9,8 @@ starts from the fit of its anchor, itself plus every non-race column (from
 zeros when that is itself, or when the anchor's fit did not converge), so it
 depends only on its rows and support, never on the search that reached it.
 A result is certified optimal only when the search finished within its node
-budget, no node was dismissed on an unconverged fit, and the winner's fit
-converged. Also: the backward-stepwise baseline and the per-size importance
+budget, no candidate was passed over on an unconverged fit, and the winner's
+fit converged. Also: the backward-stepwise baseline and the per-size importance
 profile.
 """
 
@@ -49,11 +49,12 @@ class SubsetPathEntry:
 @dataclass
 class SearchCounts:
     """Work done by one subset_path call: Newton fits solved, fits answered
-    from the memo, and solved fits that did not converge."""
+    from the memo, solved fits that did not converge, and nodes visited."""
 
     fits: int = 0
     memo_hits: int = 0
     unconverged: int = 0
+    nodes: int = 0
 
 
 @dataclass
@@ -110,46 +111,48 @@ class _FitCache:
         columns cannot lower the optimum, so that fit answers union: a memo hit."""
         wider = (self.exclude and tuple(sorted(union)) not in self._models
                  and self._models.get(tuple(sorted(union | self.exclude))))
-        hit = bool(wider and wider.diagnostics.converged
-                   and wider.diagnostics.final_nll >= best_obj - _PRUNE_EPS)
+        hit = bool(wider and _dismisses(wider, best_obj))
         self.counts.memo_hits += hit
         return hit
+
+
+def _dismisses(model: LogisticModel, best_obj: float) -> bool:
+    """Whether a fit of a superset of a node's supports dismisses the node."""
+    return model.diagnostics.converged and model.diagnostics.final_nll >= best_obj - _PRUNE_EPS
 
 
 def _branch_and_bound(
     cache: _FitCache, allowed: tuple[int, ...], k: int, budget: int
 ) -> SubsetResult:
     best_support, best_obj = frozenset(), np.inf
-    nodes = 0
-    certified = True
+    nodes, certified = 0, True
 
     def consider(support):
         # An unconverged fit's objective overstates the support's optimum, so
-        # dismissing the support on it is not sound.
+        # passing the support over on it is not sound.
         nonlocal best_support, best_obj, certified
         model = cache.fit(support)
         certified &= model.diagnostics.converged
         if model.diagnostics.final_nll < best_obj:
             best_support, best_obj = frozenset(support), model.diagnostics.final_nll
 
-    # Stack entries: (forced, allowed, bound, bound_model). An include-child
-    # has its parent's union of forced and allowed features, so it inherits
-    # the parent's bound and relaxation fit; an exclude-child is bounded on
-    # pop. Include-children are popped first, so the search dives to a size-k
-    # support before it backtracks.
-    stack: list[tuple[frozenset, tuple[int, ...], float | None, LogisticModel | None]] = [
-        (frozenset(), allowed, None, None)
-    ]
+    # Stack entries: (forced, allowed, relaxation). An include-child shares its
+    # parent's union, so it carries the parent's relaxation fit, just checked
+    # against the same incumbent; the root and each exclude-child carry None.
+    # One rule dismisses those, on the table's fit of their union plus the
+    # excluded columns, then on their relaxation fit: a converged fit that
+    # reaches the incumbent less _PRUNE_EPS. An unconverged fit never does.
+    # Include-children pop first: the search dives to size k, then backtracks.
+    stack: list[tuple[frozenset, tuple[int, ...], LogisticModel | None]]
+    stack = [(frozenset(), allowed, None)]
     while stack:
-        forced, allowed, bound, bound_model = stack.pop()
-        if bound is not None and bound >= best_obj - _PRUNE_EPS:
-            continue
+        forced, allowed, relaxation = stack.pop()
         if nodes >= budget:
             certified = False
             break
         nodes += 1
         union = forced | set(allowed)
-        if bound is None and cache.beaten(union, best_obj):  # the root or an exclude-child
+        if relaxation is None and cache.beaten(union, best_obj):
             continue
         if len(union) <= k:
             consider(union)
@@ -157,23 +160,20 @@ def _branch_and_bound(
         if len(forced) == k:
             consider(forced)
             continue
-        if bound is None:
-            bound_model = cache.fit(union)
-            # Only a converged fit attains the minimum over the union; an
-            # unconverged one bounds nothing and never prunes.
-            diag = bound_model.diagnostics
-            bound = diag.final_nll if diag.converged else -np.inf
-            if bound >= best_obj - _PRUNE_EPS:
+        if relaxation is None:
+            relaxation = cache.fit(union)
+            if _dismisses(relaxation, best_obj):
                 continue
         # Branch on the allowed feature with the largest standardized
         # coefficient |beta_j| * sd(x_j) in the relaxation fit; ties go to the
         # smaller index.
-        scaled = np.abs(bound_model.beta) * cache.sd[list(bound_model.support)]
-        coef = dict(zip(bound_model.support, scaled))
+        scaled = np.abs(relaxation.beta) * cache.sd[list(relaxation.support)]
+        coef = dict(zip(relaxation.support, scaled))
         u = max(allowed, key=lambda j: (coef.get(j, 0.0), -j))
         rest = tuple(j for j in allowed if j != u)
-        stack.append((forced, rest, None, None))
-        stack.append((forced | {u}, rest, bound, bound_model))
+        stack.append((forced, rest, None))
+        stack.append((forced | {u}, rest, relaxation))
+    cache.counts.nodes += nodes
     model = cache.fit(best_support)
     return SubsetResult(k=k, model=model,
                         certified_optimal=certified and model.diagnostics.converged)
@@ -188,7 +188,7 @@ def best_subset(
     """Globally optimal support of size <= k for the penalized likelihood.
 
     certified_optimal is False when the node budget ran out, when a support
-    was dismissed on an unconverged fit, or when the winner's fit did not
+    was passed over on an unconverged fit, or when the winner's fit did not
     converge; the best support found is returned either way. The search
     dives to a size-k support first, so a budget of k + 1 nodes or more
     always returns one; a smaller budget may return the empty support.

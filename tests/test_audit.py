@@ -14,6 +14,7 @@ from strikeaudit.audit import (
     AuditConfig,
     findings_csv,
     leaf_disparity,
+    report_files,
     run_audit,
     write_outputs,
 )
@@ -470,7 +471,7 @@ class TestRunAudit:
         monkeypatch.setattr(logreg, "fit", counting_fit)
         doc = run_audit(disparity_audit_config(tmp_path, seed=11, n=900))
         full, ablation = doc["subset_path"]["search"], doc["ablation"]["search"]
-        assert set(full) == set(ablation) == {"fits", "memo_hits", "unconverged"}
+        assert set(full) == set(ablation) == {"fits", "memo_hits", "unconverged", "nodes"}
         assert full["fits"] + ablation["fits"] == len(solved)
         assert full["unconverged"] + ablation["unconverged"] == solved.count(False)
         # The ablated search reuses the full search's fits.
@@ -541,3 +542,21 @@ class TestRunAudit:
         doc["restarts"] = 100
         with pytest.raises(StrikeAuditError, match="'restarts'"):
             AuditConfig.from_json(doc)
+
+
+RACE_TREE = {"columns": ["is_black"], "root": {
+    "feature": "is_black", "left": {"leaf": {"n": 10, "n_struck": 2}},
+    "right": {"leaf": {"n": 10, "n_struck": 8}}}}
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: leaf_disparity(tree_from_json(RACE_TREE), five_leaf_table()),
+     StrikeAuditError, "disparity testing requires a race-free tree"),
+    # A value of the wrong type inside the document is a TypeError, named.
+    (lambda: report_files({"subset_path": 3}),
+     SchemaError, "report document is malformed: 'int' object is not subscriptable"),
+])
+def test_invalid_arguments_are_rejected(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

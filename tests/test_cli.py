@@ -298,6 +298,15 @@ class TestAudit:
         assert main(["audit", *flags, "--config", str(cfg_file)]) == 2
         assert "'restarts'" in capsys.readouterr().err
 
+    def test_config_file_of_a_non_object_is_data_error(self, workdir, capsys):
+        cfg_file = workdir["root"] / "audit_list_cfg.json"
+        cfg_file.write_text(json.dumps([["k_max", 3]]))
+        flags, out = io_flags(workdir, "audit_list_out")
+        assert main(["audit", *flags, "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == (
+            f"strikeaudit: config file {cfg_file} must hold a JSON object\n")
+        assert not out.exists()
+
     def test_mistyped_config_value_is_data_error(self, workdir, capsys):
         cfg_file = workdir["root"] / "audit_typed_cfg.json"
         cfg_file.write_text(json.dumps({"k_max": "3"}))

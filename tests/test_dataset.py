@@ -900,3 +900,48 @@ class TestSynthGenerate:
             if fisher_exact(ContingencyTable(a, b, c, d)) < 0.05:
                 significant += 1
         assert significant <= 10
+
+
+def one_leaf_config(**changes):
+    """SynthConfig arguments for a one-split tree, with ``changes`` applied."""
+    args = dict(
+        n=10,
+        tree_spec=SplitSpec(feature="f", left=SplitSpec(leaf_id="no"),
+                            right=SplitSpec(leaf_id="yes")),
+        leaf_rates={"no": 0.2, "yes": 0.6},
+        black_fraction=0.5,
+        feature_marginals={"f": 0.4},
+    )
+    return {**args, **changes}
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: FeatureMatrix(x=np.zeros((3, 2)), columns=("a",), y=[0, 1, 0]),
+     ValueError, "x must be n rows by len(columns)"),
+    (lambda: FeatureMatrix(x=[[0.0], [2.0]], columns=("a",), y=[0, 1]),
+     ValueError, "feature values must be 0 or 1"),
+    (lambda: FeatureMatrix(x=[[0.0], [1.0]], columns=("a",), y=[0, 2]),
+     ValueError, "target values must be 0 or 1"),
+    (lambda: FeatureMatrix(x=[[0.0], [1.0]], columns=("a",), y=[0, 1], race_columns={1}),
+     ValueError, "race_columns out of range"),
+    (lambda: build_matrix(small_table(), "impute"),
+     ValueError, f"missing_policy must be one of {MISSING_POLICIES}"),
+    (lambda: stratified_folds([0, 1] * 5, 1, 0), ValueError, "folds must be >= 2"),
+    (lambda: SplitSpec(), ValueError, "node must set exactly one of leaf_id or feature"),
+    (lambda: SplitSpec(feature="f", leaf_id="x"),
+     ValueError, "node must set exactly one of leaf_id or feature"),
+    (lambda: SplitSpec(feature="f", left=SplitSpec(leaf_id="x")),
+     ValueError, "split node needs both children"),
+    (lambda: SynthConfig(**one_leaf_config(black_fraction=1.5)),
+     ValueError, "black_fraction must be in [0, 1]"),
+    (lambda: SynthConfig(**one_leaf_config(leaf_rates={"no": 0.2, "yes": (0.6, -0.1)})),
+     ValueError, "leaf 'yes': rates must be in [0, 1]"),
+    (lambda: SynthConfig(**one_leaf_config(feature_marginals={"f": 0.4, "g": 1.2})),
+     ValueError, "marginal for 'g' must be in [0, 1]"),
+    (lambda: SynthConfig(**one_leaf_config(feature_marginals={"g": 0.4})),
+     ValueError, "tree uses features without marginals: ['f']"),
+])
+def test_invalid_arguments_are_rejected(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

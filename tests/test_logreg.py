@@ -656,3 +656,18 @@ class TestSerialization:
         assert obj["beta"] == model.beta.tolist()
         assert (obj["intercept"], obj["ridge"]) == (model.intercept, model.ridge)
         assert obj["diagnostics"]["converged"] == model.diagnostics.converged
+
+
+def test_dependent_columns_names_an_all_zero_column():
+    # A zero column depends on any columns before it, none included.
+    design = np.column_stack([np.zeros(4), np.ones(4), [0.0, 1.0, 0.0, 1.0], np.zeros(4)])
+    assert logreg._dependent_columns(design, ["zero", "one", "x", "zero_again"]) == [
+        "zero", "zero_again"]
+
+
+def test_beta_of_another_length_than_the_support_is_rejected():
+    diagnostics = FitDiagnostics(0.0, 0, True, 0.0)
+    with pytest.raises(ValueError) as info:
+        LogisticModel(support=(0, 1), beta=[0.5], intercept=0.0, ridge=0.0,
+                      diagnostics=diagnostics)
+    assert str(info.value) == "beta length must match support size"

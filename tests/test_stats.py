@@ -205,3 +205,16 @@ class TestRocPoints:
         ys = [p[1] for p in curve.points]
         assert xs == sorted(xs) and ys == sorted(ys)
         assert curve.points[0] == (0.0, 0.0) and curve.points[-1] == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ContingencyTable(0, 0, 0, 0), "contingency table is all zeros"),
+    (lambda: holm_adjust([[0.1, 0.2]]), "p_values must be one-dimensional"),
+    (lambda: auc([0.1, 0.2, 0.3], [0, 1]),
+     "scores and labels must be 1-d sequences of equal length"),
+    (lambda: auc([0.1, 0.2], [0, 2]), "labels must be 0/1"),
+])
+def test_invalid_arguments_are_rejected(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message

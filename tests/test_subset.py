@@ -212,6 +212,9 @@ class TestSubsetPath:
         path = subset_path(train, test, k_max=6, folds=3, seed=2)
         nlls = [model.diagnostics.final_nll for model in path.models]
         assert all(a >= b - 1e-9 for a, b in zip(nlls, nlls[1:]))
+        # The search's work is deterministic: a change to how it branches,
+        # bounds or dismisses a node moves these counts.
+        assert path.search == subset.SearchCounts(fits=70, memo_hits=104, nodes=210)
 
     def test_planted_support_recovered(self):
         m = planted_path_matrix(2, n=3000, p=10)
@@ -252,6 +255,13 @@ class TestSubsetPath:
         small = m.take_rows(keep)
         with pytest.raises(StratificationError):
             subset_path(small, small, k_max=2, folds=5, seed=0)
+
+    def test_train_and_test_columns_must_match(self):
+        train, test = split(planted_path_matrix(8), 0.7, 0)
+        renamed = FeatureMatrix(x=test.x, columns=("g0", *test.columns[1:]), y=test.y)
+        with pytest.raises(ValueError) as info:
+            subset_path(train, renamed, k_max=2, folds=3, seed=0)
+        assert str(info.value) == "train and test matrices must share columns"
 
     def test_curve_csv_shape(self):
         m = planted_path_matrix(7)
@@ -406,6 +416,9 @@ class TestRaceAblation:
         calls = record_fits(monkeypatch)
         full, ablated = race_ablation(train, test, 3, 3, 5)
         monkeypatch.undo()
+        # Both searches' work, pinned as in test_train_nll_non_increasing.
+        assert full.search == subset.SearchCounts(fits=69, memo_hits=38, nodes=106)
+        assert ablated.search == subset.SearchCounts(fits=41, memo_hits=72, nodes=118)
         cold = {support for support, start in calls if start is None}
         assert cold == {tuple(range(9)), tuple(range(1, 9))}
         warm = {len(support) for support, start in calls if start is not None}
