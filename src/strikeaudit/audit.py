@@ -24,7 +24,7 @@ from .dataset import (
     split,
 )
 from .errors import (
-    StageError, StrikeAuditError, UndefinedTestError, finite_real, reading_document, whole,
+    StageError, StrikeAuditError, finite_real, reading_document, whole,
 )
 from .logreg import FitSettings
 from .stats import ContingencyTable, fisher_exact, holm_adjust
@@ -48,13 +48,15 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
     cells = 4 * tree_mod.predict_leaves(tree, x) + 2 * is_black + struck
     counts = np.bincount(cells, minlength=4 * len(tree.nodes)).reshape(-1, 2, 2).tolist()
     findings: list[dict] = []
-    testable: list[int] = []
-    raw: list[float] = []
     for leaf_id in tree.leaf_ids():
         (kept_nonblack, struck_nonblack), (kept_black, struck_black) = counts[leaf_id]
         n_black = kept_black + struck_black
         n_nonblack = kept_nonblack + struck_nonblack
-        finding = dict(
+        # Fisher's rule: a table with an empty row or column margin, an
+        # empty leaf's too, has no test.
+        testable = min(n_black, n_nonblack, struck_black + struck_nonblack,
+                       kept_black + kept_nonblack) > 0
+        findings.append(dict(
             leaf=leaf_id,
             path=tree_mod.describe_path(tree, leaf_id),
             n_black=n_black,
@@ -63,29 +65,17 @@ def leaf_disparity(tree: Tree, table: JurorTable, alpha_level: float = 0.05) -> 
             struck_nonblack=struck_nonblack,
             rate_black=struck_black / n_black if n_black else None,
             rate_nonblack=struck_nonblack / n_nonblack if n_nonblack else None,
-            p_raw=None,
+            p_raw=fisher_exact(ContingencyTable(
+                a=struck_black, b=kept_black, c=struck_nonblack, d=kept_nonblack,
+            )) if testable else None,
             p_adjusted=None,
             significant=False,
-            skipped=False,
-            reason=None,
-        )
-        try:
-            if n_black + n_nonblack == 0:
-                raise UndefinedTestError("empty leaf")
-            p = fisher_exact(
-                ContingencyTable(a=struck_black, b=kept_black, c=struck_nonblack, d=kept_nonblack)
-            )
-        except UndefinedTestError:
-            finding.update(skipped=True, reason="degenerate margin")
-        else:
-            finding["p_raw"] = p
-            testable.append(len(findings))
-            raw.append(p)
-        findings.append(finding)
-    if raw:
-        adjusted = holm_adjust(raw)
-        for idx, p_adj in zip(testable, adjusted):
-            findings[idx].update(p_adjusted=float(p_adj), significant=bool(p_adj < alpha_level))
+            skipped=not testable,
+            reason=None if testable else "degenerate margin",
+        ))
+    tested = [f for f in findings if not f["skipped"]]
+    for f, p_adj in zip(tested, holm_adjust([f["p_raw"] for f in tested])):
+        f.update(p_adjusted=float(p_adj), significant=bool(p_adj < alpha_level))
     return findings
 
 
@@ -172,8 +162,6 @@ class AuditConfig:
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -224,27 +212,24 @@ def run_audit(cfg: AuditConfig) -> dict:
     }
 
 
+FINDING_FIELDS = (
+    "leaf", "path", "n_black", "struck_black", "n_nonblack", "struck_nonblack",
+    "rate_black", "rate_nonblack", "p_raw", "p_adjusted", "significant", "skipped", "reason",
+)
+
+
 def findings_csv(findings: list[dict]) -> str:
-    """leaf_disparity's finding documents, one row per leaf."""
-    header = (
-        "leaf,path,n_black,struck_black,n_nonblack,struck_nonblack,"
-        "rate_black,rate_nonblack,p_raw,p_adjusted,significant,skipped,reason"
-    )
-    lines = [header]
-    for f in findings:
-        path = " & ".join(f["path"]).replace('"', '""')
-        cells = [
-            str(f["leaf"]),
-            f'"{path}"',
-            *(str(f[key]) for key in ("n_black", "struck_black", "n_nonblack", "struck_nonblack")),
-            *("" if f[key] is None else repr(f[key])
-              for key in ("rate_black", "rate_nonblack", "p_raw", "p_adjusted")),
-            str(int(f["significant"])),
-            str(int(f["skipped"])),
-            f["reason"] or "",
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """leaf_disparity's finding documents, one row per leaf: the path quoted,
+    flags as 0/1, None as an empty cell, numbers by str (a float's repr)."""
+    def cell(key, value) -> str:
+        if key == "path":
+            return '"' + " & ".join(value).replace('"', '""') + '"'
+        if value is None:
+            return ""
+        return str(int(value) if isinstance(value, bool) else value)
+
+    rows = [",".join(cell(key, f[key]) for key in FINDING_FIELDS) for f in findings]
+    return "\n".join([",".join(FINDING_FIELDS), *rows]) + "\n"
 
 
 def json_text(obj) -> str:

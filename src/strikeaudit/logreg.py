@@ -257,23 +257,19 @@ def fit(
 
 
 def _dependent_columns(design: np.ndarray, names) -> list[str]:
-    """Names of columns linearly dependent on the ones before them."""
+    """Names of columns linearly dependent on the ones before them. Column 0
+    is the intercept's column of ones, so it opens the basis."""
     deps = []
-    basis: list[int] = []
+    basis = [0]
     tol = 1e-8
-    for j in range(design.shape[1]):
+    for j in range(1, design.shape[1]):
         col = design[:, j]
-        norm = np.linalg.norm(col)
-        if basis:
-            b = design[:, basis]
-            coef, *_ = np.linalg.lstsq(b, col, rcond=None)
-            if np.linalg.norm(col - b @ coef) <= tol * max(1.0, norm):
-                deps.append(names[j])
-                continue
-        if norm <= tol:
+        b = design[:, basis]
+        coef, *_ = np.linalg.lstsq(b, col, rcond=None)
+        if np.linalg.norm(col - b @ coef) <= tol * max(1.0, np.linalg.norm(col)):
             deps.append(names[j])
-            continue
-        basis.append(j)
+        else:
+            basis.append(j)
     return deps
 
 

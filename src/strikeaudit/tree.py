@@ -128,7 +128,7 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
     entry. The prunes only skip candidates that cannot win, so computing
     every split and every child there changes no result. ``_splits`` lends
     that table to fits of the same matrix and min_leaf at other alphas
-    (tune_alpha passes one per fold); a fit clears a table it made itself.
+    (tune_alpha passes one per fold).
 
     The matrix must already have race columns removed; leaves keep their
     training counts so p_strike is the empirical rate.
@@ -250,11 +250,8 @@ def fit_tree(m: FeatureMatrix, settings: TreeSettings = TreeSettings(), *,
     finally:
         # best() and build() call themselves: a reference cycle that would
         # keep the tables, bitsets and nodes until a cyclic garbage
-        # collection. The tables go at once (a lent one is the lender's to
-        # clear), and deleting the two functions frees the rest on return.
-        memo.clear()
-        if _splits is None:
-            splits.clear()
+        # collection. Breaking it lets them die with this frame; a lent
+        # table lives as long as its lender holds it.
         del best, build
     return Tree(nodes=tuple(nodes), columns=m.columns)
 
@@ -322,29 +319,23 @@ def tune_alpha(
     (simpler trees); the winner is refit on the full training data.
     Folds run in the outer loop and the sorted grid in the inner one: each
     fold's training rows are taken once, and its fits at every alpha share
-    one table of the alpha-free last two split levels (see fit_tree),
-    cleared when the fold is done.
+    one table of the alpha-free last two split levels (see fit_tree).
     """
     grid = tuple(sorted(alpha_grid))
     if not grid:
         raise ValueError("alpha_grid must be non-empty")
     errors: list[list[float]] = [[] for _ in grid]
-    splits: dict = {}
     for tr, va in stratified_folds(train.y, folds, seed):
+        splits: dict = {}  # before take_rows, so the last fold's table goes first
         fold = train.take_rows(tr)
         x_va, y_va = train.x[va], train.y[va]
-        try:
-            for alpha, alpha_errors in zip(grid, errors):
-                t = fit_tree(fold, dc_replace(settings, alpha=alpha), _splits=splits)
-                alpha_errors.append(float(np.mean(predict_labels(t, x_va) != y_va)))
-        finally:
-            splits.clear()
-    best_alpha = None
-    best_error = None
-    for alpha, alpha_errors in zip(grid, errors):
-        mean_error = float(np.mean(alpha_errors))
-        if best_error is None or mean_error <= best_error:
-            best_alpha, best_error = alpha, mean_error
+        for alpha, alpha_errors in zip(grid, errors):
+            t = fit_tree(fold, dc_replace(settings, alpha=alpha), _splits=splits)
+            alpha_errors.append(float(np.mean(predict_labels(t, x_va) != y_va)))
+    del splits  # freed before the refit, which makes its own
+    # min keeps the first of equal errors, so scanning the grid from the top
+    # sends ties to the larger alpha.
+    best_alpha, _ = min(zip(reversed(grid), reversed(errors)), key=lambda ge: np.mean(ge[1]))
     final = fit_tree(train, dc_replace(settings, alpha=best_alpha))
     return best_alpha, final
 

@@ -25,6 +25,7 @@ from strikeaudit.dataset import (
     write_csv,
 )
 from strikeaudit.errors import SchemaError, StageError, StrikeAuditError
+from strikeaudit.stats import holm_adjust
 from strikeaudit.subset import race_ablation
 from strikeaudit.tree import tree_from_json
 
@@ -100,23 +101,27 @@ class TestLeafDisparity:
         others = [f for f in findings if f["path"] != node4["path"]]
         assert not any(f["significant"] for f in others)
 
-    def test_single_race_leaf_is_skipped(self):
+    @pytest.mark.parametrize("leaf, counts", [
+        ("remainder", (15, 5, 0, 0)),  # black jurors only
+        ("death_hesitant", (10, 10, 20, 20)),  # every juror struck
+        ("death_hesitant", (0, 0, 0, 0)),  # a leaf of the tree that no juror reaches
+    ], ids=["single-race", "single-outcome", "empty"])
+    def test_single_race_leaf_is_skipped(self, leaf, counts):
         records = []
-        for leaf, answers in LEAF_ANSWERS.items():
-            if leaf == "remainder":
-                records.extend(records_for_leaf(leaf, answers, 15, 5, 0, 0))
-            else:
-                records.extend(records_for_leaf(leaf, answers, 10, 5, 20, 10))
-        table = table_from_records(records, TREE_FEATURES)
-        findings = leaf_disparity(paper_tree(), table)
-        flagged = [f for f in findings if f["skipped"]]
-        assert len(flagged) == 1
-        assert flagged[0]["reason"] == "degenerate margin"
-        assert flagged[0]["p_adjusted"] is None
-        assert not flagged[0]["significant"]
+        for name, answers in LEAF_ANSWERS.items():
+            records.extend(records_for_leaf(
+                name, answers, *(counts if name == leaf else (10, 5, 20, 10))))
+        findings = leaf_disparity(paper_tree(), table_from_records(records, TREE_FEATURES))
+        (flagged,) = [f for f in findings if f["skipped"]]
+        assert tuple(flagged[key] for key in (
+            "n_black", "struck_black", "n_nonblack", "struck_nonblack")) == counts
+        assert flagged["reason"] == "degenerate margin"
+        assert flagged["p_raw"] is None and flagged["p_adjusted"] is None
+        assert not flagged["significant"]
         # the Holm family is only the testable leaves
         testable = [f for f in findings if not f["skipped"]]
-        assert all(f["p_adjusted"] >= f["p_raw"] - 1e-15 for f in testable)
+        assert [f["p_adjusted"] for f in testable] == holm_adjust(
+            [f["p_raw"] for f in testable]).tolist()
 
     def test_findings_partition_the_table(self):
         table = five_leaf_table()

@@ -205,6 +205,21 @@ class TestCsv:
         with pytest.raises(ParseError, match=r"^line 3 has 7 fields, header has 6$"):
             load_csv(path, ("accused",))
 
+    def test_long_row_then_short_row_names_the_long_one(self, tmp_path):
+        # 7 + 5 fields make two records' worth, and read six at a time every
+        # cell is valid: only the plain decoder's line-end check turns the
+        # file down.
+        data = (
+            b"trial_id,juror_id,is_black,struck_by_state,eligible,accused\n"
+            b"t1,j1,0,1,1,1,t2\n"
+            b"j2,0,1,1,0\n"
+        )
+        assert _decode_plain(data, ("accused",)) is None
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=r"^line 2 has 7 fields, header has 6$"):
+            load_csv(path, ("accused",))
+
     def test_bad_cell_before_short_row_is_reported_first(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text(
